@@ -1,35 +1,28 @@
 """Isolation-forest anomaly scoring over per-actor behavior vectors.
 
 Forests are built from scratch (seeded, deterministic) so scores are
-reproducible across runs and platforms. The enhanced role model adds
-temporal features and splits each role into regular/irregular behavior
-groups; it is opt-in and not part of the standard variant pipeline.
+reproducible across runs and platforms. The engine fits one forest per role
+on warmup windows and uses its score only as weak, capped advice on
+near-threshold risk.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Sequence
 
 from .events import ActionKind, Event
 from .rng import substream
 
-BASE_DIMENSIONS = (
-    "logins", "after_hours_logins", "db_queries", "sensitive_accesses",
-    "exports", "export_volume", "external_emails",
-)
-ENHANCED_DIMENSIONS = BASE_DIMENSIONS + ("burstiness", "after_hours_ratio", "velocity")
 
-
-def behavior_vector(window: Sequence[Event], enhanced: bool = False) -> tuple[float, ...]:
-    """Aggregate one actor's window into a fixed-order count/sum vector."""
+def behavior_vector(window: Sequence[Event]) -> tuple[float, ...]:
+    """Aggregate one actor's window into a fixed-order count/sum vector:
+    (logins, after-hours logins, db queries, sensitive accesses, exports,
+    export volume, external emails)."""
     logins = after_hours = queries = sensitive = exports = volume = ext_mail = 0
-    per_step: dict[int, int] = {}
     for e in window:
-        per_step[e.step] = per_step.get(e.step, 0) + 1
         if e.kind is ActionKind.LOGIN:
             logins += 1
             if e.payload["context"] in ("after_hours", "new_location"):
@@ -44,16 +37,8 @@ def behavior_vector(window: Sequence[Event], enhanced: bool = False) -> tuple[fl
         elif e.kind is ActionKind.EMAIL_SEND:
             if e.payload["recipient_domain"] == "external":
                 ext_mail += 1
-    base = (float(logins), float(after_hours), float(queries), float(sensitive),
+    return (float(logins), float(after_hours), float(queries), float(sensitive),
             float(exports), float(volume), float(ext_mail))
-    if not enhanced:
-        return base
-    n = len(window)
-    span = (max(per_step) - min(per_step) + 1) if per_step else 1
-    mean_rate = n / span if span else 0.0
-    burstiness = (max(per_step.values()) / mean_rate) if per_step and mean_rate else 0.0
-    ah_ratio = after_hours / logins if logins else 0.0
-    return base + (burstiness, ah_ratio, float(n) / span)
 
 
 def harmonic(n: int) -> float:
@@ -71,12 +56,10 @@ def average_path_length(n: int) -> float:
 class IsoForest:
     """Ensemble of seeded random partition trees; score in (0, 1)."""
 
-    def __init__(self, trees: list[dict], psi: int, dimension: int,
-                 training_vectors: tuple[tuple[float, ...], ...]):
+    def __init__(self, trees: list[dict], psi: int, dimension: int):
         self.trees = trees
         self.psi = psi
         self.dimension = dimension
-        self.training_vectors = training_vectors
 
     @classmethod
     def fit(cls, vectors: Sequence[Sequence[float]], seed: int,
@@ -97,7 +80,7 @@ class IsoForest:
             rng.shuffle(idx)
             sample = [vectors[i] for i in idx[:psi_eff]]
             trees.append(_build_tree(sample, rng, 0, depth_limit))
-        return cls(trees, psi_eff, dimension, tuple(vectors))
+        return cls(trees, psi_eff, dimension)
 
     def path_length(self, v: Sequence[float], tree: dict) -> float:
         depth = 0
@@ -118,21 +101,6 @@ class IsoForest:
             )
         mean_path = sum(self.path_length(v, t) for t in self.trees) / len(self.trees)
         return 2.0 ** (-mean_path / average_path_length(self.psi))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "format_version": 1, "psi": self.psi, "dimension": self.dimension,
-            "trees": self.trees,
-            "training_vectors": [list(v) for v in self.training_vectors],
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "IsoForest":
-        doc = json.loads(payload)
-        if doc.get("format_version") != 1:
-            raise ValueError(f"unsupported forest version {doc.get('format_version')!r}")
-        return cls(doc["trees"], doc["psi"], doc["dimension"],
-                   tuple(tuple(v) for v in doc["training_vectors"]))
 
 
 def _leaf(sample: list[tuple[float, ...]]) -> dict:
@@ -162,23 +130,6 @@ def _build_tree(sample: list[tuple[float, ...]], rng, depth: int, limit: int) ->
             "right": _build_tree(right, rng, depth + 1, limit)}
 
 
-def fit_excluding(
-    vectors_by_actor: Mapping[str, Sequence[Sequence[float]]],
-    excluded_actors: Iterable[str], seed: int,
-    psi: int = 64, t: int = 50,
-) -> Optional[IsoForest]:
-    """Fit a forest on all actors' vectors minus the excluded (adversary) set.
-
-    Returns None when fewer than 2 vectors remain.
-    """
-    excluded = set(excluded_actors)
-    vectors = [v for actor, vs in sorted(vectors_by_actor.items())
-               if actor not in excluded for v in vs]
-    if len(vectors) < 2:
-        return None
-    return IsoForest.fit(vectors, seed=seed, psi=psi, t=t)
-
-
 @dataclass(frozen=True)
 class MlAdviceConfig:
     weight: float = 0.5
@@ -198,45 +149,3 @@ def ml_advice(score: float, risk: float, theta_confirm: float,
         return risk
     bump = config.weight * max(0.0, score - config.score_floor)
     return risk + min(bump, (1.0 - config.band) * theta_confirm)
-
-
-class EnhancedRoleAnomalyModel:
-    """Per-(role, regularity-group) forests over enhanced behavior vectors.
-
-    Training excludes adversary-controlled actors. Scoring falls back to the
-    role-wide forest when a group has too little data.
-    """
-
-    def __init__(self, seed: int, psi: int = 64, t: int = 50):
-        self.seed = seed
-        self.psi = psi
-        self.t = t
-        self.forests: dict[tuple[str, str], IsoForest] = {}
-        self.role_forests: dict[str, IsoForest] = {}
-
-    def fit(
-        self,
-        vectors: Mapping[tuple[str, str], Mapping[str, Sequence[Sequence[float]]]],
-        excluded_actors: Iterable[str],
-    ) -> None:
-        excluded = set(excluded_actors)
-        by_role: dict[str, dict[str, list]] = {}
-        for (role, group), actor_map in sorted(vectors.items()):
-            forest = fit_excluding(actor_map, excluded, seed=self.seed,
-                                   psi=self.psi, t=self.t)
-            if forest is not None:
-                self.forests[(role, group)] = forest
-            merged = by_role.setdefault(role, {})
-            for actor, vs in actor_map.items():
-                merged.setdefault(actor, []).extend(vs)
-        for role, actor_map in sorted(by_role.items()):
-            forest = fit_excluding(actor_map, excluded, seed=self.seed,
-                                   psi=self.psi, t=self.t)
-            if forest is not None:
-                self.role_forests[role] = forest
-
-    def score(self, role: str, group: str, v: Sequence[float]) -> float:
-        forest = self.forests.get((role, group)) or self.role_forests.get(role)
-        if forest is None:
-            return 0.0
-        return forest.score(v)

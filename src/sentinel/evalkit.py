@@ -146,7 +146,6 @@ def train_default_model(seed: int = FORENSICS_TRAIN_SEED,
 
 def run_cell(variant_name: str, seed: int,
              sim_config: Optional[simkit.SimConfig] = None,
-             detector: Optional[siem.DetectorConfig] = None,
              theta_base: float = 4.0,
              model: Optional[forensics.PretrainedModel] = None) -> RunReport:
     """One (variant, seed) cell: simulate, correlate, score."""
@@ -158,8 +157,7 @@ def run_cell(variant_name: str, seed: int,
     alerts = siem.run_detection(
         sim.events, sim.roster,
         [t.actor_id for t in sim.truths if t.malicious],
-        variant, seed, cfg.total_steps, cfg.warmup_steps,
-        detector=detector, model=model)
+        variant, seed, cfg.total_steps, cfg.warmup_steps, model=model)
     return score_run(variant_name, seed, theta_base, alerts, sim.truths,
                      cfg.warmup_steps)
 
@@ -234,7 +232,6 @@ def reports_to_csv(reports: Sequence[RunReport]) -> str:
 def run_experiment(variants: Sequence[str] = ("lsc", "ce", "eg", "eg-pt"),
                    seeds: Sequence[int] = DEFAULT_SEEDS,
                    sim_config: Optional[simkit.SimConfig] = None,
-                   detector: Optional[siem.DetectorConfig] = None,
                    sweep: bool = False) -> tuple[list[RunReport], list[RunReport]]:
     """Full variant x seed matrix; optionally the LSC theta sweep.
 
@@ -246,15 +243,15 @@ def run_experiment(variants: Sequence[str] = ("lsc", "ce", "eg", "eg-pt"),
         model = train_default_model()
     matrix: list[RunReport] = []
     for variant in variants:
-        rows = [run_cell(variant, seed, sim_config, detector, model=model)
+        rows = [run_cell(variant, seed, sim_config, model=model)
                 for seed in seeds]
         matrix.extend(rows)
         matrix.append(aggregate(rows))
     sweep_rows: list[RunReport] = []
     if sweep:
         for theta in SWEEP_THETAS:
-            rows = [run_cell("lsc", seed, sim_config, detector,
-                             theta_base=theta) for seed in seeds]
+            rows = [run_cell("lsc", seed, sim_config, theta_base=theta)
+                    for seed in seeds]
             sweep_rows.extend(rows)
             sweep_rows.append(aggregate(rows))
     return matrix, sweep_rows

@@ -88,6 +88,9 @@ def validate_payload(kind: ActionKind, payload: dict) -> None:
             f"payload for {kind.value} must have fields {fields}; "
             f"missing={missing} extra={extra}"
         )
+    for name in ("resource", "recipient", "body"):
+        if name in payload and not isinstance(payload[name], str):
+            raise ValueError(f"{kind.value} {name} must be a string")
     if kind is ActionKind.LOGIN and payload["context"] not in _LOGIN_CONTEXTS:
         raise ValueError(f"unknown login context {payload['context']!r}")
     if kind in (ActionKind.DB_QUERY, ActionKind.FILE_ACCESS):

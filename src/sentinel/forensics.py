@@ -1,23 +1,19 @@
-"""Email forensics: content analysis, authorship/style signals, and the
-offline-trained phishing classifier that backs the pretrained-model variant.
+"""Email forensics: keyword phishing scores, the offline-trained phishing
+classifier that backs the pretrained-model variant, and the synthetic
+email bodies the simulator sends.
 
-Two analysis streams feed one feature vector per email: keyword/classifier
-content signals (phishing probability, urgency hits) and style signals
-(baseline deviation, per-author consistency, AI-likeness). Training runs on
-a labeled spam/ham corpus; a synthetic corpus generator is included so the
-whole pipeline works without any external data. The corpus reader accepts
-the common subject/message/label CSV or JSONL layout, so a real spam corpus
-can be dropped in unchanged.
+Each email body gets one phishing probability: from the keyword heuristic,
+or from the trained classifier in the pretrained-model variant. Training
+runs on a labeled spam/ham corpus; a synthetic corpus generator is included
+so the whole pipeline works without any external data. The saved model also
+carries a corpus-level writing-style baseline estimated from the ham portion.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -26,10 +22,7 @@ import numpy as np
 from .rng import Xoshiro256StarStar, substream
 
 MODEL_FORMAT_VERSION = 1
-MIN_PROFILE_EMAILS = 5  # style profile is provisional below this
-DEFAULT_PROFILE_WINDOW = 20
 DEFAULT_VOCAB_CAP = 8000
-DEFAULT_AI_TAU = 12.0
 
 
 class TrainingError(ValueError):
@@ -104,7 +97,7 @@ def count_keyword_hits(text: str, keywords: Sequence[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Style baseline and rolling per-author profiles
+# Style baseline
 
 @dataclass(frozen=True)
 class StyleBaseline:
@@ -119,53 +112,6 @@ class StyleBaseline:
             raise ValueError("mean sentence length must be > 0")
         if not 0.0 < self.lexical_richness <= 1.0:
             raise ValueError("lexical richness must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class StyleProfile:
-    """Rolling style statistics for one author over their last K emails."""
-    actor_id: str
-    window: int = DEFAULT_PROFILE_WINDOW
-    samples: tuple[tuple[float, float], ...] = ()  # (mean sentence len, richness)
-    email_count: int = 0
-
-    @property
-    def provisional(self) -> bool:
-        return self.email_count < MIN_PROFILE_EMAILS
-
-    @property
-    def mean_sentence_length(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.mean([s[0] for s in self.samples]))
-
-    @property
-    def sentence_length_var(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.var([s[0] for s in self.samples]))
-
-    @property
-    def mean_richness(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.mean([s[1] for s in self.samples]))
-
-    @property
-    def richness_var(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.var([s[1] for s in self.samples]))
-
-
-def update_profile(profile: StyleProfile, body: str) -> StyleProfile:
-    """Fold one email into the rolling profile; empty bodies still count."""
-    sentences = tokenize(body)
-    samples = profile.samples
-    if sentences:
-        mean_len = float(np.mean(sentence_lengths(sentences)))
-        samples = (samples + ((mean_len, lexical_richness(sentences)),))[-profile.window:]
-    return replace(profile, samples=samples, email_count=profile.email_count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +253,6 @@ class TrainConfig:
 
 
 @dataclass
-class EmailFeatures:
-    phishing_prob: float = 0.0
-    urgency_hits: int = 0
-    style_anomaly: float = 0.0
-    authorship_inconsistency: float = 0.0
-    ai_likeness: float = 0.0
-
-
-@dataclass
 class PretrainedModel:
     vocabulary: dict[str, int]
     idf: np.ndarray
@@ -453,81 +390,13 @@ def load_model(payload: bytes) -> PretrainedModel:
 
 
 # ---------------------------------------------------------------------------
-# Per-email analysis
-
-def style_scores(
-    body: str, profile: Optional[StyleProfile], baseline: StyleBaseline,
-    ai_tau: float = DEFAULT_AI_TAU,
-) -> tuple[float, float, float]:
-    """(style_anomaly, authorship_inconsistency, ai_likeness) for one body."""
-    sentences = tokenize(body)
-    if not sentences:
-        return 0.0, 0.0, 0.0
-    lens = sentence_lengths(sentences)
-    mean_len = float(np.mean(lens))
-    rich = lexical_richness(sentences)
-
-    anomaly = 0.5 * (
-        abs(mean_len - baseline.mean_sentence_length) / baseline.sentence_length_sd
-        + abs(rich - baseline.lexical_richness) / baseline.richness_sd
-    )
-
-    inconsistency = 0.0
-    if profile is not None and not profile.provisional:
-        d = 0.5 * (
-            abs(mean_len - profile.mean_sentence_length)
-            / math.sqrt(profile.sentence_length_var + 1.0)
-            + abs(rich - profile.mean_richness)
-            / math.sqrt(profile.richness_var + 0.01)
-        )
-        inconsistency = 1.0 - math.exp(-d)
-
-    ai_likeness = math.exp(-float(np.var(lens)) / ai_tau)
-    return anomaly, inconsistency, ai_likeness
-
+# Keyword heuristic
 
 def keyword_phishing_score(body: str) -> float:
     """Keyword-only phishing heuristic used when no pretrained model is loaded."""
     s = count_keyword_hits(body, SENSITIVE_KEYWORDS)
     u = count_keyword_hits(body, URGENT_KEYWORDS)
     return min(1.0, 0.18 * s + 0.22 * u)
-
-
-def analyze_email(
-    body: str, profile: Optional[StyleProfile], model: PretrainedModel,
-    ai_tau: float = DEFAULT_AI_TAU,
-) -> EmailFeatures:
-    """Full two-stream feature vector for one email body."""
-    if model is None:
-        raise ValueError("no pretrained model loaded")
-    if not tokenize(body):
-        return EmailFeatures()
-    anomaly, inconsistency, ai = style_scores(body, profile, model.baseline, ai_tau)
-    return EmailFeatures(
-        phishing_prob=model.phishing_prob(body),
-        urgency_hits=count_keyword_hits(body, URGENT_KEYWORDS),
-        style_anomaly=anomaly,
-        authorship_inconsistency=inconsistency,
-        ai_likeness=ai,
-    )
-
-
-def heuristic_features(
-    body: str, profile: Optional[StyleProfile],
-    baseline: StyleBaseline = StyleBaseline(),
-    ai_tau: float = DEFAULT_AI_TAU,
-) -> EmailFeatures:
-    """Model-free analogue of analyze_email (keyword phishing heuristic)."""
-    if not tokenize(body):
-        return EmailFeatures()
-    anomaly, inconsistency, ai = style_scores(body, profile, baseline, ai_tau)
-    return EmailFeatures(
-        phishing_prob=keyword_phishing_score(body),
-        urgency_hits=count_keyword_hits(body, URGENT_KEYWORDS),
-        style_anomaly=anomaly,
-        authorship_inconsistency=inconsistency,
-        ai_likeness=ai,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -637,42 +506,3 @@ def generate_synthetic_corpus(
         body = template + " " + compose_body(rng, 11.0, 2.5, rng.randint(1, 2))
         corpus.append((body, "spam"))
     return corpus
-
-
-# ---------------------------------------------------------------------------
-# Corpus file I/O (subject/message/label layout)
-
-def read_corpus(payload: bytes, fmt: str) -> list[tuple[str, str]]:
-    """Read a labeled corpus from CSV or JSONL with subject/message/label fields."""
-    text = payload.decode("utf-8")
-    records: list[tuple[str, str]] = []
-    if fmt == "csv":
-        for row in csv.DictReader(io.StringIO(text)):
-            records.append(_corpus_record(row))
-    elif fmt == "jsonl":
-        for line in text.splitlines():
-            if line.strip():
-                records.append(_corpus_record(json.loads(line)))
-    else:
-        raise ValueError(f"unknown corpus format {fmt!r}")
-    return records
-
-
-def write_corpus(corpus: Sequence[tuple[str, str]]) -> bytes:
-    lines = [
-        json.dumps({"subject": "", "message": text, "label": label, "date": ""},
-                   separators=(",", ":"))
-        for text, label in corpus
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _corpus_record(row: dict) -> tuple[str, str]:
-    keys = {k.lower(): k for k in row}
-    label = str(row[keys["label"]]).strip().lower()
-    if label not in ("spam", "ham"):
-        raise ValueError(f"unknown label {label!r}")
-    subject = str(row.get(keys.get("subject", ""), "") or "")
-    message = str(row[keys["message"]])
-    text = (subject + " " + message).strip()
-    return text, label

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Mapping, Optional, Sequence
@@ -130,26 +130,20 @@ class PolicyRules:
     """Deny-lists and caps loaded from a data file."""
 
     def __init__(self, doc: dict):
-        self.approved_email_domains = frozenset(doc.get("approved_email_domains", ()))
+        self.approved_email_domains = frozenset(doc["approved_email_domains"])
         self.denied_email_domains = frozenset(doc["denied_email_domains"])
         self.denied_resources = {
             res: frozenset(Role(r) for r in roles)
             for res, roles in doc["denied_resources"].items()
         }
-        self.export_caps = {Role(r): cap for r, cap in doc["export_caps"].items()} \
-            if "export_caps" in doc else \
-            {Role(r): cap for r, cap in doc["external_export_caps"].items()}
+        self.export_caps = {Role(r): cap
+                            for r, cap in doc["external_export_caps"].items()}
 
     @classmethod
     def bundled(cls) -> "PolicyRules":
         text = resources.files("sentinel.data").joinpath(
             "policy_rules.json").read_text("utf-8")
         return cls(json.loads(text))
-
-    @classmethod
-    def from_path(cls, path) -> "PolicyRules":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def rule_hits(self, event: Event, role: Role) -> tuple[str, ...]:
         hits = []
@@ -167,17 +161,6 @@ class PolicyRules:
             if p["volume"] > cap:
                 hits.append(f"export_cap:{role.value}")
         return tuple(hits)
-
-
-def policy_check(event: Event, role: Role, rules: PolicyRules,
-                 w_policy: float = 2.0) -> Optional[Evidence]:
-    """Evidence for an event that breaks one or more static rules."""
-    hits = rules.rule_hits(event, role)
-    if not hits:
-        return None
-    return Evidence(kind=EvidenceKind.POLICY_VIOLATION,
-                    weight=w_policy * len(hits), step=event.step,
-                    detail=",".join(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +195,6 @@ def ewma_update(state: EwmaState, x: float,
 @dataclass(frozen=True)
 class TrustState:
     trust: float = 0.7
-    last_update_step: int = -1
 
 
 def thresholds(trust: float, theta_base: float, theta_slope: float,
@@ -221,7 +203,7 @@ def thresholds(trust: float, theta_base: float, theta_slope: float,
     return early_fraction * theta_confirm, theta_confirm
 
 
-def update_trust(state: TrustState, outcome: str, step: int = 0,
+def update_trust(state: TrustState, outcome: str,
                  config: DetectorConfig = DetectorConfig()) -> TrustState:
     """Apply one trust outcome; always clamped to the configured bounds."""
     t = state.trust
@@ -237,7 +219,7 @@ def update_trust(state: TrustState, outcome: str, step: int = 0,
     else:
         raise ValueError(f"unknown trust outcome {outcome!r}")
     t = min(config.trust_hi, max(config.trust_lo, t))
-    return TrustState(trust=t, last_update_step=step)
+    return TrustState(trust=t)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +388,7 @@ def satisfied_gates(window: Sequence[Event], evidence: Sequence[Evidence],
 
 def gate_confirm(risk: float, evidence: Sequence[Evidence], theta_confirm: float,
                  gates: Sequence[str], gating: bool,
-                 compliance: bool = False,
-                 approval_scope: frozenset[ActionKind] = frozenset({
-                     ActionKind.DB_QUERY, ActionKind.FILE_ACCESS,
-                     ActionKind.FILE_EXPORT, ActionKind.EMAIL_SEND})) -> bool:
+                 compliance: bool = False) -> bool:
     """Confirmed-tier decision. Gating variants demand two distinct evidence
     kinds plus a satisfied gate, and honor the compliance override."""
     if risk < theta_confirm:
@@ -420,7 +399,7 @@ def gate_confirm(risk: float, evidence: Sequence[Evidence], theta_confirm: float
         return False
     if not gates:
         return False
-    if compliance and all(_GATE_TRIGGER_KINDS[g] <= approval_scope
+    if compliance and all(_GATE_TRIGGER_KINDS[g] <= tom.APPROVAL_SCOPE
                           for g in gates):
         return False
     return True
@@ -444,17 +423,14 @@ class SiemEngine:
 
     def __init__(self, variant: VariantConfig, roster: Sequence[ActorSpec],
                  malicious_actors: Sequence[str], seed: int,
-                 detector: Optional[DetectorConfig] = None,
-                 rules: Optional[PolicyRules] = None,
-                 library: Optional[tom.PlanLibrary] = None,
                  model: Optional[forensics.PretrainedModel] = None):
         variant.validate()
         if variant.pretrained_model and model is None:
             raise ValueError("EG_SIEM_PT requires a pretrained forensics model")
         self.variant = variant
-        self.config = detector or DetectorConfig()
-        self.rules = rules or PolicyRules.bundled()
-        self.library = library or tom.PlanLibrary.bundled()
+        self.config = DetectorConfig()
+        self.rules = PolicyRules.bundled()
+        self.library = tom.PlanLibrary.bundled()
         self.model = model
         self.seed = seed
         self.malicious = frozenset(malicious_actors)
@@ -471,7 +447,6 @@ class SiemEngine:
         self.forests: dict[Role, anomaly.IsoForest] = {}
         self._warmup_samples: list[tuple[float, ...]] = []
         self._warmup_vectors: dict[Role, list[tuple[float, ...]]] = {}
-        self.risk_trace: dict[tuple[str, int], float] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -485,7 +460,7 @@ class SiemEngine:
         hits = self.rules.rule_hits(event, state.spec.role)
         if hits:
             state.policy_cache.append((event.step, hits))
-        if event.kind is ActionKind.EMAIL_SEND:
+        if self.variant.forensics and event.kind is ActionKind.EMAIL_SEND:
             state.phishing.append((event.step, self._phish_prob(
                 event.payload["body"])))
 
@@ -651,6 +626,9 @@ class SiemEngine:
         cfg = self.config
         by_step: dict[int, list[Event]] = {}
         for e in events:
+            if e.actor_id not in self.actors:
+                raise ValueError(f"event at step {e.step}: actor "
+                                 f"{e.actor_id!r} is not in the roster")
             by_step.setdefault(e.step, []).append(e)
         actor_ids = sorted(self.actors)
         alerts: list[Alert] = []
@@ -701,13 +679,12 @@ class SiemEngine:
 
             for actor_id in actor_ids:
                 state = self.actors[actor_id]
-                state.trust = update_trust(state.trust, "decay_tick", step, cfg)
+                state.trust = update_trust(state.trust, "decay_tick", cfg)
                 peers = [v for other, v in
                          sorted(volumes_by_role[state.spec.role].items())
                          if other != actor_id]
                 risk, evidence, gates = self.correlate(
                     actor_id, step, deviations[actor_id], peers)
-                self.risk_trace[(actor_id, step)] = risk
                 if not evidence:
                     continue
                 theta_early, theta_confirm = thresholds(
@@ -727,7 +704,7 @@ class SiemEngine:
                                         gates=gates))
                     label = 1 if actor_id in self.malicious else 0
                     outcome = "true_positive" if label else "false_positive"
-                    state.trust = update_trust(state.trust, outcome, step, cfg)
+                    state.trust = update_trust(state.trust, outcome, cfg)
                     forensics_flag = any(e.kind is EvidenceKind.FORENSICS_FLAG
                                          for e in evidence)
                     self.scorer.update(
@@ -744,9 +721,7 @@ class SiemEngine:
 def run_detection(events: Sequence[Event], roster: Sequence[ActorSpec],
                   malicious_actors: Sequence[str], variant: VariantConfig,
                   seed: int, total_steps: int, warmup_steps: int,
-                  detector: Optional[DetectorConfig] = None,
                   model: Optional[forensics.PretrainedModel] = None) -> list[Alert]:
     """Convenience wrapper: build an engine and run it over one log."""
-    engine = SiemEngine(variant, roster, malicious_actors, seed,
-                        detector=detector, model=model)
+    engine = SiemEngine(variant, roster, malicious_actors, seed, model=model)
     return engine.run(events, total_steps, warmup_steps)

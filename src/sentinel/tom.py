@@ -12,7 +12,7 @@ covering the matched actions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -57,11 +57,7 @@ class PlanLibrary:
                 ]
 
     def compiled(self, template: list[dict]) -> list[tuple[ActionKind, dict]]:
-        out = self._compiled.get(id(template))
-        if out is None:
-            out = [(ActionKind(e["kind"]), e) for e in template]
-            self._compiled[id(template)] = out
-        return out
+        return self._compiled[id(template)]
 
     def weights(self, template: list[dict],
                 config: TomConfig) -> tuple[tuple[float, ...], float]:
@@ -77,11 +73,6 @@ class PlanLibrary:
     def bundled(cls) -> "PlanLibrary":
         text = resources.files("sentinel.data").joinpath("plan_library.json").read_text("utf-8")
         return cls(json.loads(text))
-
-    @classmethod
-    def from_path(cls, path) -> "PlanLibrary":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
 
 def _element_matches(
@@ -118,19 +109,15 @@ def _specificity(element: dict, config: TomConfig) -> float:
 def _match_template(
     window: Sequence[Event], template: list[dict],
     approved_domains: frozenset[str], config: TomConfig,
-    library: Optional[PlanLibrary] = None,
+    library: PlanLibrary,
 ) -> tuple[float, float, frozenset[ActionKind]]:
     """Greedy subsequence match of the window against the template prefix.
 
-    Returns (completion, confidence, matched kinds).
+    ``template`` must be one of ``library``'s templates. Returns
+    (completion, confidence, matched kinds).
     """
-    if library is not None:
-        compiled = library.compiled(template)
-        weights, total_weight = library.weights(template, config)
-    else:
-        compiled = [(ActionKind(e["kind"]), e) for e in template]
-        weights = tuple(_specificity(e, config) for e in template)
-        total_weight = sum(weights)
+    compiled = library.compiled(template)
+    weights, total_weight = library.weights(template, config)
     idx = 0
     matched_weight = 0.0
     kinds: set[ActionKind] = set()
@@ -173,14 +160,17 @@ def abduce(
     return hypotheses
 
 
+# Action kinds a compliance approval covers; logins are never covered.
+APPROVAL_SCOPE = frozenset({
+    ActionKind.DB_QUERY, ActionKind.FILE_ACCESS,
+    ActionKind.FILE_EXPORT, ActionKind.EMAIL_SEND,
+})
+
+
 @dataclass(frozen=True)
 class ActorContext:
     """What contradiction checking knows about the actor beyond the window."""
     compliance_approval: bool = False
-    approval_scope: frozenset[ActionKind] = frozenset({
-        ActionKind.DB_QUERY, ActionKind.FILE_ACCESS,
-        ActionKind.FILE_EXPORT, ActionKind.EMAIL_SEND,
-    })
     benign_hypotheses: tuple[IntentHypothesis, ...] = ()
 
 
@@ -195,7 +185,7 @@ def check_contradiction(
     for b in context.benign_hypotheses:
         if not b.malicious and b.completion >= h.completion:
             return replace(h, contradicted=True)
-    if context.compliance_approval and h.matched_kinds <= context.approval_scope:
+    if context.compliance_approval and h.matched_kinds <= APPROVAL_SCOPE:
         return replace(h, contradicted=True)
     return h
 

@@ -135,13 +135,13 @@ def test_criterion_3_trust_dynamics():
         state = TrustState(trust=cfg.trust_lo
                            + rng.random() * (cfg.trust_hi - cfg.trust_lo))
         for _ in range(rng.randint(1, 15)):
-            state = update_trust(state, outcomes[rng.randint(0, 2)], 0, cfg)
+            state = update_trust(state, outcomes[rng.randint(0, 2)], cfg)
             in_bounds &= cfg.trust_lo <= state.trust <= cfg.trust_hi
     converged = True
     for start in (cfg.trust_lo, cfg.trust_hi):
         state = TrustState(trust=start)
         for _ in range(500):
-            state = update_trust(state, "decay_tick", 0, cfg)
+            state = update_trust(state, "decay_tick", cfg)
         converged &= abs(state.trust - cfg.trust_init) < 1e-6
     elapsed = time.monotonic() - t0
     ok = in_bounds and converged and elapsed < 5.0

@@ -59,14 +59,6 @@ def test_injected_outliers_score_above_training():
         assert forest.score(outlier) > 0.5
 
 
-def test_forest_serde_round_trip():
-    data = [(float(i), float(i % 3)) for i in range(20)]
-    forest = IsoForest.fit(data, seed=5, psi=8, t=10)
-    clone = IsoForest.from_json(forest.to_json())
-    for v in data + [(100.0, -4.0)]:
-        assert clone.score(v) == forest.score(v)
-
-
 def test_fit_validation():
     with pytest.raises(ValueError, match="at least 2"):
         IsoForest.fit([(1.0,)], seed=1)

@@ -69,6 +69,28 @@ def test_detect_missing_inputs(tmp_path):
     assert main(["detect", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda e: e.update(actor_id="u999"), "'u999'"),
+    (lambda e: e["payload"].update(body=5), "body"),
+], ids=["unknown_actor", "non_string_body"])
+def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
+                                    named):
+    # A corrupted copy of the first email goes right after it, so the log
+    # stays step-ordered and only the corruption can be at fault.
+    lines = (simulated / "events.jsonl").read_bytes().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line)["kind"] == "email_send")
+    copy = json.loads(lines[at])
+    corrupt(copy)
+    lines.insert(at + 1, json.dumps(copy).encode())
+    log = tmp_path / "hostile.jsonl"
+    log.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["detect", str(log), "--truth", str(simulated / "truth.json"),
+                 "--variant", "lsc", "--out", str(tmp_path / "det")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
 def test_detect_eg_pt_requires_model(simulated):
     assert main(["detect", str(simulated / "events.jsonl"),
                  "--variant", "eg-pt"]) == 1

@@ -82,6 +82,15 @@ def test_event_payload_validation():
               {"volume": -5, "resource": "crm_db", "destination": "internal"})
     with pytest.raises(ValueError, match="negative step"):
         Event(-1, "u001", ActionKind.LOGIN, {"context": "normal"})
+    for kind, payload in (
+            (ActionKind.EMAIL_SEND, {"recipient_domain": "external",
+                                     "recipient": "x.example", "body": 5}),
+            (ActionKind.EMAIL_SEND, {"recipient_domain": "external",
+                                     "recipient": None, "body": "hi"}),
+            (ActionKind.DB_QUERY, {"resource": ["crm_db"],
+                                   "sensitivity": "normal"})):
+        with pytest.raises(ValueError, match="must be a string"):
+            Event(0, "u001", kind, payload)
 
 
 def test_alert_round_trip_with_gates():

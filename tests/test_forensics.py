@@ -7,15 +7,12 @@ import pytest
 
 from sentinel.forensics import (SENSITIVE_KEYWORDS, URGENT_KEYWORDS,
                                 ModelFormatError, MultinomialClassifier,
-                                StyleBaseline, StyleProfile, TrainConfig,
-                                TrainingError, analyze_email,
-                                build_vocabulary, count_keyword_hits,
-                                count_matrix, generate_leak_body,
-                                generate_synthetic_corpus, heuristic_features,
+                                TrainConfig, TrainingError, build_vocabulary,
+                                count_keyword_hits, generate_leak_body,
+                                generate_synthetic_corpus,
                                 keyword_phishing_score, lexical_richness,
-                                load_model, read_corpus, save_model,
-                                style_scores, tokenize, train_classifier,
-                                update_profile, write_corpus)
+                                load_model, save_model, tokenize,
+                                train_classifier)
 from sentinel.rng import substream
 
 
@@ -121,38 +118,6 @@ def test_load_model_rejects_bad_payloads():
         load_model(b'{"format_version": 1, "vocabulary": {}}')
 
 
-# -- style profiles and per-email features ----------------------------------
-
-def test_update_profile_window_and_provisional():
-    profile = StyleProfile("u001", window=3)
-    assert profile.provisional
-    for i in range(5):
-        profile = update_profile(profile, f"word {'extra ' * i}tail here today.")
-    assert profile.email_count == 5
-    assert len(profile.samples) == 3  # rolling window keeps the last three
-    assert not profile.provisional
-    # empty bodies count toward the email total but add no sample
-    profile = update_profile(profile, "")
-    assert profile.email_count == 6
-    assert len(profile.samples) == 3
-
-
-def test_style_scores_zero_for_empty_and_anomaly_oracle():
-    base = StyleBaseline(10.0, 0.5, 2.0, 0.1)
-    assert style_scores("", None, base) == (0.0, 0.0, 0.0)
-    body = "one two three four five six."  # 6 words, richness 1.0
-    anomaly, inconsistency, _ = style_scores(body, None, base)
-    assert anomaly == pytest.approx(0.5 * (abs(6 - 10) / 2.0 + abs(1.0 - 0.5) / 0.1))
-    assert inconsistency == 0.0  # no profile
-
-
-def test_analyze_email_requires_model_and_handles_empty():
-    with pytest.raises(ValueError, match="no pretrained model"):
-        analyze_email("body", None, None)
-    feats = heuristic_features("", None)
-    assert feats.phishing_prob == 0.0 and feats.urgency_hits == 0
-
-
 # -- leak bodies ------------------------------------------------------------
 
 def test_leak_bodies_separate_on_keyword_heuristic():
@@ -171,25 +136,3 @@ def test_trained_model_catches_sparse_leaks():
     flagged = sum(model.phishing_prob(generate_leak_body(rng)) >= 0.7
                   for _ in range(100))
     assert flagged >= 90
-
-
-# -- corpus I/O -------------------------------------------------------------
-
-def test_corpus_round_trip_jsonl():
-    corpus = [("hello team meeting", "ham"), ("verify password now", "spam")]
-    assert read_corpus(write_corpus(corpus), "jsonl") == corpus
-
-
-def test_corpus_csv_with_subject():
-    payload = (b"subject,message,label\n"
-               b"Weekly notes,see the agenda,ham\n"
-               b",verify now,spam\n")
-    assert read_corpus(payload, "csv") == [
-        ("Weekly notes see the agenda", "ham"), ("verify now", "spam")]
-
-
-def test_corpus_errors():
-    with pytest.raises(ValueError, match="unknown corpus format"):
-        read_corpus(b"", "xml")
-    with pytest.raises(ValueError, match="unknown label"):
-        read_corpus(b'{"message": "x", "label": "maybe"}\n', "jsonl")

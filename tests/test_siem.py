@@ -13,10 +13,10 @@ from sentinel.siem import (DetectorConfig, EwmaState, GATE_EXCESS,
                            GATE_LOGIN_CONTEXT, GATE_STAGING, GATE_TIGHT_CHAIN,
                            OnlineScorer, PolicyRules, TrustState, Variant,
                            VariantConfig, ewma_update, gate_confirm,
-                           peer_normalize, policy_check,
-                           regularity_suppression, satisfied_gates,
-                           scorer_features, thresholds, update_trust,
-                           variant_config)
+                           peer_normalize, regularity_suppression,
+                           run_detection, satisfied_gates, scorer_features,
+                           thresholds, update_trust, variant_config)
+from sentinel.simkit import ActorSpec
 
 
 # -- EWMA -------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_trust_bounds_ten_thousand_sequences():
         state = TrustState(trust=cfg.trust_lo
                            + rng.random() * (cfg.trust_hi - cfg.trust_lo))
         for _ in range(rng.randint(1, 20)):
-            state = update_trust(state, outcomes[rng.randint(0, 2)], 0, cfg)
+            state = update_trust(state, outcomes[rng.randint(0, 2)], cfg)
             assert cfg.trust_lo <= state.trust <= cfg.trust_hi
 
 
@@ -101,7 +101,7 @@ def test_trust_decay_converges_from_both_bounds():
     for start in (cfg.trust_lo, cfg.trust_hi):
         state = TrustState(trust=start)
         for _ in range(200):
-            state = update_trust(state, "decay_tick", 0, cfg)
+            state = update_trust(state, "decay_tick", cfg)
         assert abs(state.trust - cfg.trust_init) < 1e-6
 
 
@@ -117,37 +117,56 @@ def test_policy_rules_bundled_hits():
     denied_mail = Event(0, "u1", ActionKind.EMAIL_SEND,
                         {"recipient_domain": "external",
                          "recipient": "darkpartner.example", "body": "x"})
-    ev = policy_check(denied_mail, Role.STAFF, rules)
-    assert ev is not None and "denied_domain" in ev.detail
+    assert rules.rule_hits(denied_mail, Role.STAFF) == (
+        "denied_domain:darkpartner.example",)
 
     over_cap = Event(0, "u1", ActionKind.FILE_EXPORT,
                      {"volume": 10_000, "resource": "shared_drive",
                       "destination": "external"})
-    ev = policy_check(over_cap, Role.STAFF, rules)
-    assert ev is not None and "export_cap:staff" in ev.detail
+    assert rules.rule_hits(over_cap, Role.STAFF) == ("export_cap:staff",)
     # power users have a much higher cap
-    assert policy_check(
+    assert rules.rule_hits(
         Event(0, "u1", ActionKind.FILE_EXPORT,
               {"volume": 4000, "resource": "analytics_db",
                "destination": "external"}),
-        Role.POWER_USER, rules) is None
+        Role.POWER_USER) == ()
 
     denied_res = Event(0, "u1", ActionKind.DB_QUERY,
                        {"resource": "customer_master", "sensitivity": "sensitive"})
-    assert policy_check(denied_res, Role.STAFF, rules) is not None
+    assert rules.rule_hits(denied_res, Role.STAFF) == (
+        "denied_resource:customer_master",)
     internal = Event(0, "u1", ActionKind.FILE_EXPORT,
                      {"volume": 10_000, "resource": "shared_drive",
                       "destination": "internal"})
-    assert policy_check(internal, Role.STAFF, rules) is None
-
-
-def test_policy_weight_scales_with_hits():
-    rules = PolicyRules.bundled()
+    assert rules.rule_hits(internal, Role.STAFF) == ()
+    # one event can break two rules at once
     both = Event(0, "u1", ActionKind.FILE_EXPORT,
                  {"volume": 10_000, "resource": "customer_master",
                   "destination": "external"})
-    ev = policy_check(both, Role.STAFF, rules, w_policy=2.0)
-    assert ev.weight == 4.0  # denied resource + export cap
+    assert rules.rule_hits(both, Role.STAFF) == (
+        "denied_resource:customer_master", "export_cap:staff")
+
+
+def test_engine_policy_evidence_one_item_per_distinct_rule():
+    def denied_mail(step):
+        return Event(step, "u001", ActionKind.EMAIL_SEND,
+                     {"recipient_domain": "external",
+                      "recipient": "darkpartner.example", "body": "notes"})
+    over_cap = Event(2, "u001", ActionKind.FILE_EXPORT,
+                     {"volume": 10_000, "resource": "shared_drive",
+                      "destination": "external"})
+    roster = [ActorSpec("u001", Role.STAFF, malicious=False)]
+    alerts = run_detection([denied_mail(1), over_cap, denied_mail(3)], roster,
+                           [], variant_config("lsc"), seed=1, total_steps=4,
+                           warmup_steps=0)
+    at_step_3 = [a for a in alerts if a.step == 3]
+    assert len(at_step_3) == 1
+    policy = [(e.detail, e.step, e.weight) for e in at_step_3[0].evidence
+              if e.kind is EvidenceKind.POLICY_VIOLATION]
+    # the repeated rule counts once, at its first hit in the window
+    w = DetectorConfig().w_policy
+    assert policy == [("denied_domain:darkpartner.example", 1, w),
+                      ("export_cap:staff", 2, w)]
 
 
 # -- variant configs --------------------------------------------------------

@@ -3,9 +3,9 @@
 import pytest
 
 from sentinel.events import ActionKind, Event, EvidenceKind
-from sentinel.tom import (ActorContext, PlanLibrary, TomConfig, abduce,
-                          check_contradiction, tom_evidence, _match_template,
-                          _specificity)
+from sentinel.tom import (APPROVAL_SCOPE, ActorContext, PlanLibrary,
+                          TomConfig, abduce, check_contradiction,
+                          tom_evidence, _match_template, _specificity)
 
 APPROVED = frozenset({"partnercorp.example", "consulting.example"})
 CFG = TomConfig()
@@ -128,7 +128,7 @@ def test_compliance_approval_contradicts_in_scope_hypothesis():
     context = ActorContext(compliance_approval=True)
     for h in live:
         assert check_contradiction(h, context).contradicted == (
-            h.matched_kinds <= context.approval_scope)
+            h.matched_kinds <= APPROVAL_SCOPE)
 
 
 def test_login_outside_approval_scope_survives_compliance():
