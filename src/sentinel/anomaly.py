@@ -13,32 +13,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .events import ActionKind, Event
 from .rng import substream
 
 
-def behavior_vector(window: Sequence[Event]) -> tuple[float, ...]:
-    """Aggregate one actor's window into a fixed-order count/sum vector:
-    (logins, after-hours logins, db queries, sensitive accesses, exports,
-    export volume, external emails)."""
-    logins = after_hours = queries = sensitive = exports = volume = ext_mail = 0
-    for e in window:
-        if e.kind is ActionKind.LOGIN:
-            logins += 1
-            if e.payload["context"] in ("after_hours", "new_location"):
-                after_hours += 1
-        elif e.kind in (ActionKind.DB_QUERY, ActionKind.FILE_ACCESS):
-            queries += 1
-            if e.payload["sensitivity"] == "sensitive":
-                sensitive += 1
-        elif e.kind is ActionKind.FILE_EXPORT:
-            exports += 1
-            volume += e.payload["volume"]
-        elif e.kind is ActionKind.EMAIL_SEND:
-            if e.payload["recipient_domain"] == "external":
-                ext_mail += 1
-    return (float(logins), float(after_hours), float(queries), float(sensitive),
-            float(exports), float(volume), float(ext_mail))
+def behavior_vector(summary) -> tuple[float, ...]:
+    """One actor's window summary (``siem.WindowSummary``) as a fixed-order
+    count/sum vector: (logins, after-hours logins, db queries, sensitive
+    accesses, exports, export volume, external emails)."""
+    s = summary
+    return (float(s.logins), float(len(s.suspicious_logins)), float(s.queries),
+            float(len(s.sensitive_steps)), float(len(s.export_steps)),
+            float(sum(s.export_volumes)), float(s.external_emails))
 
 
 def harmonic(n: int) -> float:

@@ -102,6 +102,37 @@ def cmd_forensics(args, cfg: dict) -> int:
     return 0
 
 
+def _read_sidecar(path: Path) -> tuple:
+    """(roster, truths, warmup_steps, total_steps, seed) of a truth sidecar.
+
+    ValueError unless it is an object whose actor lists name the same
+    actors, with an int seed (default 101) and int step counts
+    0 <= warmup_steps < total_steps.
+    """
+    doc = json.loads(path.read_text("utf-8"))
+    if not (isinstance(doc, dict) and isinstance(doc.get("actors"), list)
+            and isinstance(doc.get("ground_truth"), list)):
+        raise ValueError("truth sidecar must be an object with 'actors' and "
+                         "'ground_truth' lists")
+    ints = [doc.get("warmup_steps"), doc.get("total_steps"),
+            doc.get("seed", 101)]
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in ints) \
+            or not 0 <= ints[0] < ints[1]:
+        raise ValueError("truth sidecar needs an int seed and int steps with "
+                         f"0 <= warmup_steps < total_steps, got {ints[:2]}")
+    try:
+        roster = simkit.roster_from_dict(doc["actors"])
+        truths = truth_from_dict(doc["ground_truth"])
+        same = {a.actor_id for a in roster} == {t.actor_id for t in truths}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"truth sidecar has a malformed actor entry "
+                         f"({type(exc).__name__}: {exc})") from None
+    if not same:
+        raise ValueError("truth sidecar 'actors' and 'ground_truth' name "
+                         "different actors")
+    return roster, truths, *ints
+
+
 def cmd_detect(args, cfg: dict) -> int:
     events_path = Path(args.events)
     truth_path = Path(args.truth) if args.truth else \
@@ -113,11 +144,7 @@ def cmd_detect(args, cfg: dict) -> int:
         print(f"error: truth sidecar not found: {truth_path}", file=sys.stderr)
         return 2
     events = parse_event_log(events_path.read_bytes())
-    sidecar = json.loads(truth_path.read_text("utf-8"))
-    roster = simkit.roster_from_dict(sidecar["actors"])
-    truths = truth_from_dict(sidecar["ground_truth"])
-    total = sidecar["total_steps"]
-    warmup = sidecar["warmup_steps"]
+    roster, truths, warmup, total, sidecar_seed = _read_sidecar(truth_path)
     name = args.variant or cfg.get("variant", "eg")
     theta = args.theta_base if args.theta_base is not None else \
         cfg.get("theta_base", 4.0)
@@ -134,7 +161,7 @@ def cmd_detect(args, cfg: dict) -> int:
             print(f"error: cannot load model {model_path}: {exc}",
                   file=sys.stderr)
             return 2
-    seed = args.seed if args.seed is not None else sidecar.get("seed", 101)
+    seed = args.seed if args.seed is not None else sidecar_seed
     alerts = siem.run_detection(
         events, roster, [t.actor_id for t in truths if t.malicious],
         variant, seed, total, warmup, model=model)

@@ -74,6 +74,8 @@ class Event:
     payload: dict
 
     def __post_init__(self):
+        if isinstance(self.step, bool) or not isinstance(self.step, int):
+            raise ValueError(f"step must be an int, not {self.step!r}")
         if self.step < 0:
             raise ValueError(f"negative step {self.step}")
         validate_payload(self.kind, self.payload)
@@ -223,28 +225,6 @@ def alert_to_json(a: Alert) -> str:
 
 def serialize_alert_log(alerts: Sequence[Alert]) -> bytes:
     return "".join(alert_to_json(a) + "\n" for a in alerts).encode("utf-8")
-
-
-def parse_alert_log(stream: bytes) -> list[Alert]:
-    alerts = []
-    for lineno, line in enumerate(stream.decode("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            evidence = tuple(
-                Evidence(kind=EvidenceKind(e["kind"]), weight=e["weight"],
-                         step=e["step"], detail=e.get("detail", ""))
-                for e in obj["evidence"]
-            )
-            alerts.append(Alert(tier=obj["tier"], actor_id=obj["actor_id"],
-                                step=obj["step"], score=obj["score"],
-                                evidence=evidence,
-                                tom_assisted=obj["tom_assisted"],
-                                gates=tuple(obj.get("gates", ()))))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise LogFormatError(f"line {lineno}: {exc}") from exc
-    return alerts
 
 
 # ---------------------------------------------------------------------------

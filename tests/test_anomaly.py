@@ -8,6 +8,7 @@ from sentinel.anomaly import (IsoForest, MlAdviceConfig, average_path_length,
                               behavior_vector, harmonic, ml_advice)
 from sentinel.events import ActionKind, Event
 from sentinel.rng import substream
+from sentinel.siem import summarize
 
 
 def brute_force_path(tree, v):
@@ -103,5 +104,5 @@ def test_behavior_vector_counts():
               {"recipient_domain": "external", "recipient": "x.example",
                "body": "hello"}),
     ]
-    vec = behavior_vector(window)
+    vec = behavior_vector(summarize(window, frozenset()))
     assert vec == (2.0, 1.0, 1.0, 1.0, 1.0, 400.0, 1.0)

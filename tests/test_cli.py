@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sentinel.cli import main
-from sentinel.events import parse_alert_log, parse_event_log
+from sentinel.events import parse_event_log
 
 SMALL = {"total_steps": 110, "warmup_steps": 60, "seed": 7}
 
@@ -57,12 +57,13 @@ def test_detect_on_simulated_log(simulated, tmp_path):
     out = tmp_path / "det"
     assert main(["detect", str(simulated / "events.jsonl"),
                  "--variant", "eg", "--out", str(out)]) == 0
-    alerts = parse_alert_log((out / "alerts_eg.jsonl").read_bytes())
+    alerts = [json.loads(line) for line in
+              (out / "alerts_eg.jsonl").read_text().splitlines()]
     report = json.loads((out / "report_eg.json").read_text())
     assert report["variant"] == "eg"
     assert report["confirmed_alerts"] == sum(
         1 for a in alerts
-        if a.tier == "confirmed" and a.step >= SMALL["warmup_steps"])
+        if a["tier"] == "confirmed" and a["step"] >= SMALL["warmup_steps"])
 
 
 def test_detect_missing_inputs(tmp_path):
@@ -72,21 +73,52 @@ def test_detect_missing_inputs(tmp_path):
 @pytest.mark.parametrize("corrupt, named", [
     (lambda e: e.update(actor_id="u999"), "'u999'"),
     (lambda e: e["payload"].update(body=5), "body"),
-], ids=["unknown_actor", "non_string_body"])
+    (lambda e: e.update(step=True), "step must be an int"),
+    (lambda e: e.update(step=2.5), "step must be an int"),
+    (lambda e: e.update(step=9999), "step 9999: outside"),
+], ids=["unknown_actor", "non_string_body", "bool_step", "float_step",
+        "step_past_end"])
 def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
                                     named):
-    # A corrupted copy of the first email goes right after it, so the log
-    # stays step-ordered and only the corruption can be at fault.
+    # A corrupted copy of the first email goes right after it, or last when
+    # the corruption moves its step, so the log stays step-ordered and only
+    # the corruption can be at fault.
     lines = (simulated / "events.jsonl").read_bytes().splitlines()
     at = next(i for i, line in enumerate(lines)
               if json.loads(line)["kind"] == "email_send")
     copy = json.loads(lines[at])
     corrupt(copy)
-    lines.insert(at + 1, json.dumps(copy).encode())
+    moved = copy["step"] != json.loads(lines[at])["step"]
+    lines.insert(len(lines) if moved else at + 1, json.dumps(copy).encode())
     log = tmp_path / "hostile.jsonl"
     log.write_bytes(b"\n".join(lines) + b"\n")
     assert main(["detect", str(log), "--truth", str(simulated / "truth.json"),
                  "--variant", "lsc", "--out", str(tmp_path / "det")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda d: d.clear(), "'actors' and 'ground_truth' lists"),
+    (lambda d: d.update(total_steps="110"), "0 <= warmup_steps < total_steps"),
+    (lambda d: d.update(ground_truth=5), "'actors' and 'ground_truth' lists"),
+    (lambda d: d.update(warmup_steps=500), "got [500, 110]"),
+    (lambda d: d.update(warmup_steps=True), "0 <= warmup_steps < total_steps"),
+    (lambda d: d.update(seed=[7]), "int seed"),
+    (lambda d: d["actors"].append(7), "malformed actor entry"),
+    (lambda d: d["ground_truth"].pop(), "name different actors"),
+], ids=["empty_object", "string_total_steps", "int_ground_truth",
+        "warmup_past_total", "bool_warmup", "list_seed", "int_actor_entry",
+        "truth_misses_actor"])
+def test_detect_hostile_sidecar_exits_2(simulated, tmp_path, capsys, corrupt,
+                                        named):
+    sidecar = json.loads((simulated / "truth.json").read_text())
+    corrupt(sidecar)
+    truth = tmp_path / "hostile_truth.json"
+    truth.write_text(json.dumps(sidecar))
+    assert main(["detect", str(simulated / "events.jsonl"), "--truth",
+                 str(truth), "--variant", "lsc",
+                 "--out", str(tmp_path / "det")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 

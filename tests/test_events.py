@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from sentinel.events import (ActionKind, Alert, Event, Evidence, EvidenceKind,
                              GroundTruth, LogFormatError, Scenario,
-                             parse_alert_log, parse_event_log,
-                             serialize_alert_log, serialize_event_log,
+                             parse_event_log, serialize_alert_log,
+                             serialize_event_log,
                              truth_from_dict, truth_to_dict)
 
 _ids = st.from_regex(r"u[0-9]{3}", fullmatch=True)
@@ -103,7 +103,15 @@ def test_alert_round_trip_with_gates():
               evidence=(Evidence(EvidenceKind.TOM_INTENT, 3.0, 81, "stealth"),),
               tom_assisted=True),
     ]
-    assert parse_alert_log(serialize_alert_log(alerts)) == alerts
+    assert serialize_alert_log(alerts) == (
+        b'{"tier":"confirmed","actor_id":"u001","step":80,"score":5.125,'
+        b'"evidence":[{"kind":"policy_violation","weight":2.0,"step":79,'
+        b'"detail":"cap"},{"kind":"baseline_deviation","weight":1.5,'
+        b'"step":80,"detail":""}],"tom_assisted":false,'
+        b'"gates":["tight_exfiltration_chain"]}\n'
+        b'{"tier":"early","actor_id":"u002","step":81,"score":3.0,'
+        b'"evidence":[{"kind":"tom_intent","weight":3.0,"step":81,'
+        b'"detail":"stealth"}],"tom_assisted":true,"gates":[]}\n')
 
 
 def test_alert_validation():

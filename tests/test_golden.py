@@ -1,4 +1,5 @@
-"""Behaviour lock: CLI outputs for seed 101 match the stored reference digests.
+"""Behaviour lock: CLI outputs for seed 101 match the stored reference
+digests, and the benchmark's tracer still finds what it wraps.
 
 The digests live in ``bench/reference.json`` (sections ``"101"`` and
 ``"model"``), which the benchmark checks every output against; this test
@@ -6,12 +7,17 @@ reads them from there, so both stay pinned to the same bytes.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
+from sentinel import siem
 from sentinel.cli import ENV_CONFIG, main
+from sentinel.events import ActionKind, Event, Role
+from sentinel.simkit import ActorSpec
 
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = BENCH / "reference.json"
 VARIANTS = ("lsc", "ce", "eg", "eg-pt")
 
 
@@ -42,3 +48,31 @@ def test_seed_101_outputs_match_reference_digests(tmp_path, monkeypatch):
     if _sha256(model_path) != reference["model"]["forensics_model.json"]:
         mismatched.append("forensics_model.json")
     assert not mismatched, f"outputs differ from {REFERENCE.name}: {mismatched}"
+
+
+def test_benchmark_tracer_wraps_every_target():
+    # bench/tracer.py wraps functions by name and reads the engine's
+    # variant; a rename in src/ would otherwise break only `--trace 1`.
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  BENCH / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    original_run = siem.SiemEngine.run
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert siem.SiemEngine.run is not original_run
+        roster = [ActorSpec("u001", Role.STAFF, malicious=False)]
+        events = [Event(1, "u001", ActionKind.EMAIL_SEND,
+                        {"recipient_domain": "external",
+                         "recipient": "x.example", "body": "hello"})]
+        for name in VARIANTS[:3]:
+            siem.run_detection(events, roster, [], siem.variant_config(name),
+                               seed=1, total_steps=3, warmup_steps=0)
+    finally:
+        tracer.uninstall()
+    assert siem.SiemEngine.run is original_run
+    assert tracer.phish_scores == 2 and tracer.phish_wasted == 0
+    assert tracer.abduce_calls > 0
+    for name in VARIANTS:
+        assert siem.variant_config(name).forensics == (name != "lsc")

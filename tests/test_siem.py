@@ -11,10 +11,10 @@ from sentinel.events import ActionKind, Event, Evidence, EvidenceKind, Role
 from sentinel.rng import substream
 from sentinel.siem import (DetectorConfig, EwmaState, GATE_EXCESS,
                            GATE_LOGIN_CONTEXT, GATE_STAGING, GATE_TIGHT_CHAIN,
-                           OnlineScorer, PolicyRules, TrustState, Variant,
-                           VariantConfig, ewma_update, gate_confirm,
-                           peer_normalize, regularity_suppression,
-                           run_detection, satisfied_gates, scorer_features,
+                           OnlineScorer, PolicyRules, TrustState, ewma_update,
+                           gate_confirm, peer_normalize,
+                           regularity_suppression, run_detection,
+                           satisfied_gates, scorer_features, summarize,
                            thresholds, update_trust, variant_config)
 from sentinel.simkit import ActorSpec
 
@@ -172,30 +172,20 @@ def test_engine_policy_evidence_one_item_per_distinct_rule():
 # -- variant configs --------------------------------------------------------
 
 def test_variant_layer_matrix():
-    lsc = variant_config("lsc")
-    assert not any((lsc.tom, lsc.forensics, lsc.gating, lsc.peer_norm,
-                    lsc.regularity, lsc.compliance_override,
-                    lsc.pretrained_model))
-    ce = variant_config("ce")
-    assert ce.tom and ce.forensics and not ce.gating
-    eg = variant_config("eg")
-    assert all((eg.tom, eg.forensics, eg.gating, eg.peer_norm, eg.regularity,
-                eg.compliance_override)) and not eg.pretrained_model
-    egpt = variant_config("eg-pt")
-    assert egpt.pretrained_model
-
-
-def test_variant_validation_rejects_bad_combos():
+    # README's variant table: ce adds ToM and email forensics to lsc, eg adds
+    # the precision layers, eg-pt swaps in the pretrained classifier.
+    table = {  # variant: (forensics, gating, pretrained_model)
+        "lsc": (False, False, False),
+        "ce": (True, False, False),
+        "eg": (True, True, False),
+        "eg-pt": (True, True, True),
+    }
+    for name, layers in table.items():
+        cfg = variant_config(name, theta_base=5.0)
+        assert (cfg.forensics, cfg.gating, cfg.pretrained_model) == layers
+        assert cfg.variant.value == name and cfg.theta_base == 5.0
     with pytest.raises(ValueError):
-        VariantConfig(variant=Variant.LSC, tom=True).validate()
-    with pytest.raises(ValueError):
-        VariantConfig(variant=Variant.CE_SIEM, tom=True, forensics=True,
-                      gating=True).validate()
-    with pytest.raises(ValueError):
-        VariantConfig(variant=Variant.EG_SIEM, tom=True, forensics=True,
-                      gating=True, peer_norm=True, regularity=True,
-                      compliance_override=True,
-                      pretrained_model=True).validate()
+        variant_config("bogus")
 
 
 # -- online scorer ----------------------------------------------------------
@@ -224,7 +214,8 @@ def test_scorer_features_anchor_bits():
               {"volume": 1500, "resource": "crm_db", "destination": "staging"}),
         Event(1, "u1", ActionKind.LOGIN, {"context": "new_location"}),
     ]
-    x = scorer_features(window, forensics_flag=True, tom_flag=False)
+    x = scorer_features(summarize(window, APPROVED), forensics_flag=True,
+                        tom_flag=False)
     assert x == (0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
 
 
@@ -246,7 +237,8 @@ def _chain_window():
 
 
 def test_tight_chain_gate():
-    gates = satisfied_gates(_chain_window(), [], APPROVED, chain_window=10)
+    gates = satisfied_gates(summarize(_chain_window(), APPROVED), [],
+                            chain_window=10)
     assert GATE_TIGHT_CHAIN in gates
     # same endpoints too far apart: no chain
     spread = _chain_window()
@@ -254,7 +246,7 @@ def test_tight_chain_gate():
                       {"recipient_domain": "external",
                        "recipient": "drop.example", "body": "x"})
     assert GATE_TIGHT_CHAIN not in satisfied_gates(
-        spread, [], APPROVED, chain_window=10)
+        summarize(spread, APPROVED), [], chain_window=10)
 
 
 def test_tight_chain_ignores_approved_partner_mail():
@@ -263,7 +255,7 @@ def test_tight_chain_ignores_approved_partner_mail():
                       {"recipient_domain": "external",
                        "recipient": "partnercorp.example", "body": "x"})
     assert GATE_TIGHT_CHAIN not in satisfied_gates(
-        window, [], APPROVED, chain_window=10)
+        summarize(window, APPROVED), [], chain_window=10)
 
 
 def test_staging_gate_needs_two_stages_then_external():
@@ -273,15 +265,16 @@ def test_staging_gate_needs_two_stages_then_external():
     ext = Event(80, "u1", ActionKind.FILE_EXPORT,
                 {"volume": 4000, "resource": "crm_db", "destination": "external"})
     assert GATE_STAGING in satisfied_gates(
-        [stage(70), stage(74), ext], [], APPROVED, 10, staging_min=2)
+        summarize([stage(70), stage(74), ext], APPROVED), [], 10, staging_min=2)
     assert GATE_STAGING not in satisfied_gates(
-        [stage(70), ext], [], APPROVED, 10, staging_min=2)
+        summarize([stage(70), ext], APPROVED), [], 10, staging_min=2)
     # external before the second stage does not count
     early_ext = Event(72, "u1", ActionKind.FILE_EXPORT,
                       {"volume": 4000, "resource": "crm_db",
                        "destination": "external"})
     assert GATE_STAGING not in satisfied_gates(
-        [stage(70), early_ext, stage(74)], [], APPROVED, 10, staging_min=2)
+        summarize([stage(70), early_ext, stage(74)], APPROVED), [], 10,
+        staging_min=2)
 
 
 def test_login_context_gate():
@@ -290,10 +283,12 @@ def test_login_context_gate():
         Event(75, "u1", ActionKind.DB_QUERY,
               {"resource": "hr_records", "sensitivity": "sensitive"}),
     ]
-    assert GATE_LOGIN_CONTEXT in satisfied_gates(window, [], APPROVED, 10)
+    assert GATE_LOGIN_CONTEXT in satisfied_gates(
+        summarize(window, APPROVED), [], 10)
     window[1] = Event(85, "u1", ActionKind.DB_QUERY,
                       {"resource": "hr_records", "sensitivity": "sensitive"})
-    assert GATE_LOGIN_CONTEXT not in satisfied_gates(window, [], APPROVED, 10)
+    assert GATE_LOGIN_CONTEXT not in satisfied_gates(
+        summarize(window, APPROVED), [], 10)
 
 
 def test_excess_evidence_gate_counts_kinds():
@@ -301,8 +296,9 @@ def test_excess_evidence_gate_counts_kinds():
         return Evidence(kind=kind, weight=1.0, step=0)
     four = [ev(EvidenceKind.POLICY_VIOLATION), ev(EvidenceKind.BASELINE_DEVIATION),
             ev(EvidenceKind.ML_ANOMALY), ev(EvidenceKind.PEER_EXPORT_OUTLIER)]
-    assert GATE_EXCESS in satisfied_gates([], four, APPROVED, 10)
-    assert GATE_EXCESS not in satisfied_gates([], four[:3], APPROVED, 10)
+    empty = summarize([], APPROVED)
+    assert GATE_EXCESS in satisfied_gates(empty, four, 10)
+    assert GATE_EXCESS not in satisfied_gates(empty, four[:3], 10)
 
 
 def test_gate_confirm_logic():
@@ -347,8 +343,10 @@ def test_regularity_suppression():
         return Event(s, "u1", ActionKind.FILE_EXPORT,
                      {"volume": 500, "resource": "crm_db",
                       "destination": "internal"})
+    def steps(window):
+        return summarize(window, APPROVED).export_steps
     regular = [export(s) for s in (60, 64, 68, 72, 76)]
-    assert regularity_suppression(regular) == 0.5
+    assert regularity_suppression(steps(regular)) == 0.5
     irregular = [export(s) for s in (60, 61, 70, 71, 79)]
-    assert regularity_suppression(irregular) == 1.0
-    assert regularity_suppression(regular[:2]) == 1.0  # too few events
+    assert regularity_suppression(steps(irregular)) == 1.0
+    assert regularity_suppression(steps(regular[:2])) == 1.0  # too few events
