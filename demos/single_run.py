@@ -7,7 +7,7 @@ ground truth.
 
 from collections import Counter
 
-from sentinel import evalkit, siem, simkit
+from sentinel import evalkit, simkit
 
 SEED = 101
 
@@ -20,10 +20,7 @@ def main() -> None:
     print(f"simulated {len(sim.events)} events for {len(sim.roster)} actors "
           f"({len(insiders)} insiders), seed {SEED}")
 
-    variant = siem.variant_config("eg")
-    alerts = siem.run_detection(
-        sim.events, sim.roster, list(insiders), variant, SEED,
-        config.total_steps, config.warmup_steps)
+    alerts, report = evalkit.run_cell("eg", sim)
     confirmed = [a for a in alerts
                  if a.tier == "confirmed" and a.step >= config.warmup_steps]
     print(f"\n{len(confirmed)} confirmed alerts after warmup:")
@@ -39,8 +36,6 @@ def main() -> None:
               f"risk {first.score:4.1f}  gates {list(first.gates)}  {label}")
         print(f"          evidence kinds: {dict(kinds)}")
 
-    report = evalkit.score_run("eg", SEED, 4.0, alerts, sim.truths,
-                               config.warmup_steps)
     print(f"\nactor precision {report.actor_precision:.3f}  "
           f"recall {report.actor_recall:.3f}  F1 {report.actor_f1:.3f}  "
           f"TTD avg {report.ttd_avg:.1f} steps")

@@ -11,12 +11,9 @@ VARIANTS = ("lsc", "ce", "eg", "eg-pt")
 
 
 def main() -> None:
-    model = evalkit.train_default_model()
-    rows = {}
-    for name in VARIANTS:
-        reports = [evalkit.run_cell(name, seed, model=model) for seed in SEEDS]
-        rows[name] = evalkit.aggregate(reports)
-        print(f"ran {name} over seeds {list(SEEDS)}")
+    matrix, _ = evalkit.run_experiment(variants=VARIANTS, seeds=SEEDS)
+    rows = {r.variant: r for r in matrix if r.seed == -1}
+    print(f"ran {', '.join(VARIANTS)} over seeds {list(SEEDS)}")
 
     header = f"{'metric':<24}" + "".join(f"{v:>10}" for v in VARIANTS)
     print("\n" + header)

@@ -10,6 +10,7 @@ path can also come from the SENTINEL_CONFIG environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,11 +54,8 @@ def load_config(path: str | None) -> dict:
 
 
 def _sim_config(cfg: dict) -> simkit.SimConfig:
-    sim = simkit.default_config()
-    for key in ("total_steps", "warmup_steps", "mistake_prob",
-                "power_report_every"):
-        if key in cfg:
-            setattr(sim, key, cfg[key])
+    names = [f.name for f in dataclasses.fields(simkit.SimConfig)]
+    sim = simkit.SimConfig(**{key: cfg[key] for key in names if key in cfg})
     sim.validate()
     return sim
 
@@ -69,15 +67,14 @@ def _out_dir(args, cfg: dict) -> Path:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    sim_config = _sim_config(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 101)
-    result = simkit.run_simulation(sim_config, seed)
+    result = simkit.run_simulation(_sim_config(cfg), seed)
     out = _out_dir(args, cfg)
     (out / "events.jsonl").write_bytes(serialize_event_log(result.events))
     sidecar = {
-        "seed": seed,
-        "total_steps": sim_config.total_steps,
-        "warmup_steps": sim_config.warmup_steps,
+        "seed": result.seed,
+        "total_steps": result.total_steps,
+        "warmup_steps": result.warmup_steps,
         "actors": simkit.roster_to_dict(result.roster),
         "ground_truth": truth_to_dict(result.truths),
     }
@@ -89,10 +86,9 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_forensics(args, cfg: dict) -> int:
-    seed = cfg.get("train_seed", evalkit.FORENSICS_TRAIN_SEED)
-    corpus = forensics.generate_synthetic_corpus(
-        seed, cfg.get("n_ham", 1700), cfg.get("n_spam", 300))
-    model = forensics.train_classifier(corpus)
+    model = evalkit.train_default_model(
+        cfg.get("train_seed", evalkit.FORENSICS_TRAIN_SEED),
+        cfg.get("n_ham", 1700), cfg.get("n_spam", 300))
     out = _out_dir(args, cfg)
     path = out / "forensics_model.json"
     path.write_bytes(forensics.save_model(model))
@@ -102,12 +98,13 @@ def cmd_forensics(args, cfg: dict) -> int:
     return 0
 
 
-def _read_sidecar(path: Path) -> tuple:
-    """(roster, truths, warmup_steps, total_steps, seed) of a truth sidecar.
+def _read_sidecar(path: Path, events) -> simkit.SimResult:
+    """The log of `events` with the roster, truth and run facts that the
+    truth sidecar at `path` gives.
 
-    ValueError unless it is an object whose actor lists name the same
-    actors, with an int seed (default 101) and int step counts
-    0 <= warmup_steps < total_steps.
+    ValueError unless the sidecar is an object whose actor lists name the
+    same actors, each once, with bool `malicious` and `compliance` flags,
+    an int seed (default 101) and int steps 0 <= warmup_steps < total_steps.
     """
     doc = json.loads(path.read_text("utf-8"))
     if not (isinstance(doc, dict) and isinstance(doc.get("actors"), list)
@@ -122,15 +119,23 @@ def _read_sidecar(path: Path) -> tuple:
                          f"0 <= warmup_steps < total_steps, got {ints[:2]}")
     try:
         roster = simkit.roster_from_dict(doc["actors"])
-        truths = truth_from_dict(doc["ground_truth"])
-        same = {a.actor_id for a in roster} == {t.actor_id for t in truths}
+        truths = tuple(truth_from_dict(doc["ground_truth"]))
+        ids = sorted(a.actor_id for a in roster)
+        same = ids == sorted(t.actor_id for t in truths) \
+            and len(set(ids)) == len(ids)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"truth sidecar has a malformed actor entry "
                          f"({type(exc).__name__}: {exc})") from None
     if not same:
         raise ValueError("truth sidecar 'actors' and 'ground_truth' name "
-                         "different actors")
-    return roster, truths, *ints
+                         "different actors or an actor twice")
+    flags = [a.compliance for a in roster] + [
+        x.malicious for x in roster + truths]
+    if not all(isinstance(f, bool) for f in flags):
+        raise ValueError("truth sidecar 'malicious' and 'compliance' flags "
+                         "must be booleans")
+    warmup, total, seed = ints
+    return simkit.SimResult(tuple(events), truths, roster, seed, total, warmup)
 
 
 def cmd_detect(args, cfg: dict) -> int:
@@ -143,14 +148,14 @@ def cmd_detect(args, cfg: dict) -> int:
     if not truth_path.exists():
         print(f"error: truth sidecar not found: {truth_path}", file=sys.stderr)
         return 2
-    events = parse_event_log(events_path.read_bytes())
-    roster, truths, warmup, total, sidecar_seed = _read_sidecar(truth_path)
+    log = _read_sidecar(truth_path, parse_event_log(events_path.read_bytes()))
+    if args.seed is not None:
+        log = dataclasses.replace(log, seed=args.seed)
     name = args.variant or cfg.get("variant", "eg")
     theta = args.theta_base if args.theta_base is not None else \
         cfg.get("theta_base", 4.0)
-    variant = siem.variant_config(name, theta_base=theta)
     model = None
-    if variant.pretrained_model:
+    if siem.variant_config(name).pretrained_model:
         model_path = args.model or cfg.get("forensics_model")
         if model_path is None:
             print("error: variant eg-pt needs --model PATH", file=sys.stderr)
@@ -161,25 +166,15 @@ def cmd_detect(args, cfg: dict) -> int:
             print(f"error: cannot load model {model_path}: {exc}",
                   file=sys.stderr)
             return 2
-    seed = args.seed if args.seed is not None else sidecar_seed
-    alerts = siem.run_detection(
-        events, roster, [t.actor_id for t in truths if t.malicious],
-        variant, seed, total, warmup, model=model)
-    report = evalkit.score_run(name, seed, theta, alerts, truths, warmup)
+    alerts, report = evalkit.run_cell(name, log, theta, model)
     out = _out_dir(args, cfg)
     (out / f"alerts_{name}.jsonl").write_bytes(serialize_alert_log(alerts))
     (out / f"report_{name}.json").write_text(
-        json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n",
+        json.dumps(report.__dict__, indent=2, sort_keys=True) + "\n",
         "utf-8")
     print(f"{name}: {report.confirmed_alerts} confirmed alerts, "
           f"actor F1 {report.actor_f1:.3f}")
     return 0
-
-
-def _report_dict(report: evalkit.RunReport) -> dict:
-    doc = dict(report.__dict__)
-    doc["seed"] = "mean" if report.seed == -1 else report.seed
-    return doc
 
 
 def cmd_experiment(args, cfg: dict) -> int:
@@ -191,9 +186,9 @@ def cmd_experiment(args, cfg: dict) -> int:
             seeds = list(seeds) + [max(seeds, default=100) + i + 1
                                    for i in range(args.runs - len(seeds))]
     variants = (args.variants.split(",") if args.variants
-                else ["lsc", "ce", "eg", "eg-pt"])
+                else siem.VARIANT_NAMES)
     for v in variants:
-        if v not in ("lsc", "ce", "eg", "eg-pt"):
+        if v not in siem.VARIANT_NAMES:
             print(f"error: unknown variant {v!r}", file=sys.stderr)
             return 1
     matrix, sweep = evalkit.run_experiment(
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events", help="event JSONL path")
     p.add_argument("--truth", help="truth sidecar (default: truth.json "
                                    "next to the log)")
-    p.add_argument("--variant", choices=["lsc", "ce", "eg", "eg-pt"])
+    p.add_argument("--variant", choices=siem.VARIANT_NAMES)
     p.add_argument("--theta-base", type=float, dest="theta_base")
     p.add_argument("--model", help="forensics model for eg-pt")
     p.add_argument("--seed", type=int)

@@ -144,22 +144,18 @@ def train_default_model(seed: int = FORENSICS_TRAIN_SEED,
     return forensics.train_classifier(corpus)
 
 
-def run_cell(variant_name: str, seed: int,
-             sim_config: Optional[simkit.SimConfig] = None,
+def run_cell(variant_name: str, log: simkit.SimResult,
              theta_base: float = 4.0,
-             model: Optional[forensics.PretrainedModel] = None) -> RunReport:
-    """One (variant, seed) cell: simulate, correlate, score."""
-    cfg = sim_config or simkit.default_config()
-    sim = simkit.run_simulation(cfg, seed)
+             model: Optional[forensics.PretrainedModel] = None
+             ) -> tuple[list[Alert], RunReport]:
+    """One (variant, theta) cell over one log: correlate, then score."""
     variant = siem.variant_config(variant_name, theta_base=theta_base)
-    if variant.pretrained_model and model is None:
-        model = train_default_model()
     alerts = siem.run_detection(
-        sim.events, sim.roster,
-        [t.actor_id for t in sim.truths if t.malicious],
-        variant, seed, cfg.total_steps, cfg.warmup_steps, model=model)
-    return score_run(variant_name, seed, theta_base, alerts, sim.truths,
-                     cfg.warmup_steps)
+        log.events, log.roster,
+        [t.actor_id for t in log.truths if t.malicious],
+        variant, log.seed, log.total_steps, log.warmup_steps, model=model)
+    return alerts, score_run(variant_name, log.seed, theta_base, alerts,
+                             log.truths, log.warmup_steps)
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
@@ -229,29 +225,30 @@ def reports_to_csv(reports: Sequence[RunReport]) -> str:
     return buf.getvalue()
 
 
-def run_experiment(variants: Sequence[str] = ("lsc", "ce", "eg", "eg-pt"),
+def run_experiment(variants: Sequence[str] = siem.VARIANT_NAMES,
                    seeds: Sequence[int] = DEFAULT_SEEDS,
                    sim_config: Optional[simkit.SimConfig] = None,
                    sweep: bool = False) -> tuple[list[RunReport], list[RunReport]]:
     """Full variant x seed matrix; optionally the LSC theta sweep.
 
+    Simulates each seed once and runs each distinct (variant, theta) cell
+    of it once, so the LSC matrix cell doubles as the sweep's theta=4 cell.
     Returns (matrix reports incl. per-variant means, sweep reports incl.
-    per-theta means).
+    per-theta means), variant-major and theta-major.
     """
-    model = None
-    if any(v == "eg-pt" for v in variants):
-        model = train_default_model()
-    matrix: list[RunReport] = []
-    for variant in variants:
-        rows = [run_cell(variant, seed, sim_config, model=model)
-                for seed in seeds]
-        matrix.extend(rows)
-        matrix.append(aggregate(rows))
-    sweep_rows: list[RunReport] = []
-    if sweep:
-        for theta in SWEEP_THETAS:
-            rows = [run_cell("lsc", seed, sim_config, theta_base=theta)
-                    for seed in seeds]
-            sweep_rows.extend(rows)
-            sweep_rows.append(aggregate(rows))
-    return matrix, sweep_rows
+    cfg = sim_config or simkit.default_config()
+    model = train_default_model() if "eg-pt" in variants else None
+    matrix_cells = [(v, 4.0) for v in variants]
+    sweep_cells = [("lsc", t) for t in SWEEP_THETAS] if sweep else []
+    runs: dict[tuple[str, float], list[RunReport]] = {
+        cell: [] for cell in matrix_cells + sweep_cells}
+    for seed in seeds:
+        log = simkit.run_simulation(cfg, seed)
+        for (variant, theta), rows in runs.items():
+            rows.append(run_cell(variant, log, theta, model)[1])
+        del log  # one log alive at a time
+
+    def with_means(cells) -> list[RunReport]:
+        return [r for cell in cells
+                for r in runs[cell] + [aggregate(runs[cell])]]
+    return with_means(matrix_cells), with_means(sweep_cells)

@@ -78,6 +78,8 @@ class Event:
             raise ValueError(f"step must be an int, not {self.step!r}")
         if self.step < 0:
             raise ValueError(f"negative step {self.step}")
+        if not isinstance(self.actor_id, str):
+            raise ValueError(f"actor_id must be a string: {self.actor_id!r}")
         validate_payload(self.kind, self.payload)
 
 
@@ -101,7 +103,8 @@ def validate_payload(kind: ActionKind, payload: dict) -> None:
     if kind is ActionKind.FILE_EXPORT:
         if payload["destination"] not in _DESTINATIONS:
             raise ValueError(f"unknown destination {payload['destination']!r}")
-        if not isinstance(payload["volume"], int) or payload["volume"] < 0:
+        # type(), not isinstance(): a bool is an int but not a volume.
+        if type(payload["volume"]) is not int or payload["volume"] < 0:
             raise ValueError(f"export volume must be a non-negative int")
     if kind is ActionKind.EMAIL_SEND:
         if payload["recipient_domain"] not in _DOMAINS:

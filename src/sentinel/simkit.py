@@ -8,7 +8,7 @@ given (config, seed) pair always produces the identical log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import forensics
@@ -35,88 +35,56 @@ EXPORT_CAPS = {Role.STAFF: 600, Role.DEVELOPER: 900,
                Role.ADMIN: 1200, Role.POWER_USER: 5000}
 
 
-def _default_rates() -> dict:
-    return {
-        Role.STAFF: {ActionKind.LOGIN: 0.12, ActionKind.DB_QUERY: 0.55,
-                     ActionKind.FILE_ACCESS: 0.35, ActionKind.FILE_EXPORT: 0.05,
-                     ActionKind.EMAIL_SEND: 0.25},
-        Role.DEVELOPER: {ActionKind.LOGIN: 0.12, ActionKind.DB_QUERY: 0.80,
-                         ActionKind.FILE_ACCESS: 0.50, ActionKind.FILE_EXPORT: 0.06,
-                         ActionKind.EMAIL_SEND: 0.20},
-        Role.ADMIN: {ActionKind.LOGIN: 0.15, ActionKind.DB_QUERY: 0.40,
-                     ActionKind.FILE_ACCESS: 0.60, ActionKind.FILE_EXPORT: 0.08,
-                     ActionKind.EMAIL_SEND: 0.25},
-        Role.POWER_USER: {ActionKind.LOGIN: 0.15, ActionKind.DB_QUERY: 1.10,
-                          ActionKind.FILE_ACCESS: 0.70, ActionKind.FILE_EXPORT: 0.12,
-                          ActionKind.EMAIL_SEND: 0.30},
-    }
+RATES = {
+    Role.STAFF: {ActionKind.LOGIN: 0.12, ActionKind.DB_QUERY: 0.55,
+                 ActionKind.FILE_ACCESS: 0.35, ActionKind.FILE_EXPORT: 0.05,
+                 ActionKind.EMAIL_SEND: 0.25},
+    Role.DEVELOPER: {ActionKind.LOGIN: 0.12, ActionKind.DB_QUERY: 0.80,
+                     ActionKind.FILE_ACCESS: 0.50, ActionKind.FILE_EXPORT: 0.06,
+                     ActionKind.EMAIL_SEND: 0.20},
+    Role.ADMIN: {ActionKind.LOGIN: 0.15, ActionKind.DB_QUERY: 0.40,
+                 ActionKind.FILE_ACCESS: 0.60, ActionKind.FILE_EXPORT: 0.08,
+                 ActionKind.EMAIL_SEND: 0.25},
+    Role.POWER_USER: {ActionKind.LOGIN: 0.15, ActionKind.DB_QUERY: 1.10,
+                      ActionKind.FILE_ACCESS: 0.70, ActionKind.FILE_EXPORT: 0.12,
+                      ActionKind.EMAIL_SEND: 0.30},
+}
 
-
-def _default_benign_counts() -> dict:
-    return {Role.STAFF: 18, Role.DEVELOPER: 8, Role.ADMIN: 4, Role.POWER_USER: 4}
-
-
-def _default_scenario_counts() -> dict:
-    return {Scenario.EXFILTRATION: 2, Scenario.STEALTH: 2, Scenario.TAKEOVER: 1,
-            Scenario.STAGING_EXFILTRATION: 2, Scenario.EMAIL_LEAKAGE: 1}
-
-
-def _default_sensitive_prob() -> dict:
-    return {Role.STAFF: 0.08, Role.DEVELOPER: 0.10,
-            Role.ADMIN: 0.25, Role.POWER_USER: 0.30}
-
-
-def _default_export_volume_mean() -> dict:
-    return {Role.STAFF: 250, Role.DEVELOPER: 280,
-            Role.ADMIN: 320, Role.POWER_USER: 400}
+BENIGN_COUNTS = {Role.STAFF: 18, Role.DEVELOPER: 8, Role.ADMIN: 4,
+                 Role.POWER_USER: 4}
+SCENARIO_COUNTS = {Scenario.EXFILTRATION: 2, Scenario.STEALTH: 2,
+                   Scenario.TAKEOVER: 1, Scenario.STAGING_EXFILTRATION: 2,
+                   Scenario.EMAIL_LEAKAGE: 1}
+COMPLIANCE_POWER_USERS = 2
+SENSITIVE_PROB = {Role.STAFF: 0.08, Role.DEVELOPER: 0.10,
+                  Role.ADMIN: 0.25, Role.POWER_USER: 0.30}
+EXPORT_VOLUME_MEAN = {Role.STAFF: 250, Role.DEVELOPER: 280,
+                      Role.ADMIN: 320, Role.POWER_USER: 400}
+AFTER_HOURS_PROB = 0.004
+NEW_LOCATION_PROB = 0.002
+EXTERNAL_EMAIL_PROB = 0.15
+STAGING_EXPORT_PROB = 0.08
+# Insider onset: this many steps after warm-up, inclusive.
+ONSET_MIN = 5
+ONSET_MAX = 40
 
 
 @dataclass
 class SimConfig:
     total_steps: int = 240
     warmup_steps: int = 60
-    benign_counts: dict = field(default_factory=_default_benign_counts)
-    scenario_counts: dict = field(default_factory=_default_scenario_counts)
-    compliance_power_users: int = 2
-    rates: dict = field(default_factory=_default_rates)
-    sensitive_prob: dict = field(default_factory=_default_sensitive_prob)
-    after_hours_prob: float = 0.004
-    new_location_prob: float = 0.002
-    external_email_prob: float = 0.15
-    staging_export_prob: float = 0.08
-    export_volume_mean: dict = field(default_factory=_default_export_volume_mean)
     mistake_prob: float = 0.002
     power_report_every: int = 24
-    onset_min: int = 5
-    onset_max: int = 40
 
     def validate(self) -> None:
-        if self.total_steps <= 0:
-            raise ValueError("total_steps must be positive")
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must be in [0, total_steps)")
-        for role in Role:
-            if self.benign_counts.get(role, 0) < 0:
-                raise ValueError(f"negative benign count for {role.value}")
-            for kind, rate in self.rates[role].items():
-                if rate < 0:
-                    raise ValueError(f"negative rate for {role.value}/{kind.value}")
-        if sum(self.scenario_counts.values()) < 1:
-            raise ValueError("need at least one insider")
-        for name in ("after_hours_prob", "new_location_prob", "external_email_prob",
-                     "staging_export_prob", "mistake_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
-        if self.after_hours_prob + self.new_location_prob > 1.0:
-            raise ValueError("login context probabilities exceed 1")
+        if not 0.0 <= self.mistake_prob <= 1.0:
+            raise ValueError(f"mistake_prob must be a probability, "
+                             f"got {self.mistake_prob}")
         if self.power_report_every < 4:
             raise ValueError("power_report_every must be >= 4 (cycle spans 4 steps)")
-        if self.compliance_power_users > self.benign_counts.get(Role.POWER_USER, 0):
-            raise ValueError("more compliance approvals than power users")
-        if not 0 <= self.onset_min <= self.onset_max:
-            raise ValueError("invalid onset range")
-        if self.warmup_steps + self.onset_max >= self.total_steps:
+        if self.warmup_steps + ONSET_MAX >= self.total_steps:
             raise ValueError("insider onset can fall past the end of the run")
 
 
@@ -140,7 +108,7 @@ class ActorSpec:
 def generate_roster(config: SimConfig, seed: int) -> tuple[ActorSpec, ...]:
     """Deterministic actor roster: benign actors by role, then the insiders.
 
-    Insiders pose as staff; the first compliance_power_users power users hold
+    Insiders pose as staff; the first COMPLIANCE_POWER_USERS power users hold
     a standing bulk-transfer approval.
     """
     config.validate()
@@ -153,23 +121,22 @@ def generate_roster(config: SimConfig, seed: int) -> tuple[ActorSpec, ...]:
         return mean, 2.5 + 2.0 * rng.random()
 
     for role in (Role.STAFF, Role.DEVELOPER, Role.ADMIN, Role.POWER_USER):
-        for i in range(config.benign_counts.get(role, 0)):
+        for i in range(BENIGN_COUNTS[role]):
             serial += 1
             mean, sd = style()
             roster.append(ActorSpec(
                 actor_id=f"u{serial:03d}", role=role, malicious=False,
                 compliance=(role is Role.POWER_USER
-                            and i < config.compliance_power_users),
+                            and i < COMPLIANCE_POWER_USERS),
                 style_mean=mean, style_sd=sd,
                 report_phase=(rng.randint(0, config.power_report_every - 1)
                               if role is Role.POWER_USER else 0),
             ))
     for scenario in Scenario:
-        for _ in range(config.scenario_counts.get(scenario, 0)):
+        for _ in range(SCENARIO_COUNTS[scenario]):
             serial += 1
             mean, sd = style()
-            start = config.warmup_steps + rng.randint(config.onset_min,
-                                                      config.onset_max)
+            start = config.warmup_steps + rng.randint(ONSET_MIN, ONSET_MAX)
             roster.append(ActorSpec(
                 actor_id=f"u{serial:03d}", role=Role.STAFF, malicious=True,
                 scenario=scenario, start_step=start,
@@ -315,25 +282,30 @@ def expand_scenario(scenario: Scenario, seed: int, start_step: int,
 
 @dataclass(frozen=True)
 class SimResult:
+    """One event log with its roster, truth and the run facts it was made
+    with: what `truth.json` holds beside `events.jsonl`."""
     events: tuple[Event, ...]
     truths: tuple[GroundTruth, ...]
     roster: tuple[ActorSpec, ...]
+    seed: int
+    total_steps: int
+    warmup_steps: int
 
 
 def _benign_step_events(actor: ActorSpec, step: int, config: SimConfig,
                         rng: Xoshiro256StarStar) -> list[Event]:
     """One actor's routine activity for one step."""
     role = actor.role
-    rates = config.rates[role]
+    rates = RATES[role]
     pool = ROLE_RESOURCES[role]
-    sens_p = config.sensitive_prob[role]
+    sens_p = SENSITIVE_PROB[role]
     out: list[Event] = []
 
     for _ in range(rng.poisson(rates[ActionKind.LOGIN])):
         u = rng.random()
-        if u < config.after_hours_prob:
+        if u < AFTER_HOURS_PROB:
             context = "after_hours"
-        elif u < config.after_hours_prob + config.new_location_prob:
+        elif u < AFTER_HOURS_PROB + NEW_LOCATION_PROB:
             context = "new_location"
         else:
             context = "normal"
@@ -347,10 +319,10 @@ def _benign_step_events(actor: ActorSpec, step: int, config: SimConfig,
                              {"resource": rng.choice(pool),
                               "sensitivity": sensitivity}))
 
-    mean_vol = config.export_volume_mean[role]
+    mean_vol = EXPORT_VOLUME_MEAN[role]
     for _ in range(rng.poisson(rates[ActionKind.FILE_EXPORT])):
         volume = max(20, int(round(mean_vol * 2.718281828 ** (0.5 * rng.gauss()))))
-        dest = "staging" if rng.random() < config.staging_export_prob else "internal"
+        dest = "staging" if rng.random() < STAGING_EXPORT_PROB else "internal"
         out.append(Event(step, actor.actor_id, ActionKind.FILE_EXPORT,
                          {"volume": volume, "resource": rng.choice(pool),
                           "destination": dest}))
@@ -358,7 +330,7 @@ def _benign_step_events(actor: ActorSpec, step: int, config: SimConfig,
     for _ in range(rng.poisson(rates[ActionKind.EMAIL_SEND])):
         body = forensics.compose_body(rng, actor.style_mean, actor.style_sd,
                                       rng.randint(2, 6))
-        if rng.random() < config.external_email_prob:
+        if rng.random() < EXTERNAL_EMAIL_PROB:
             payload = {"recipient_domain": "external",
                        "recipient": rng.choice(APPROVED_PARTNER_DOMAINS),
                        "body": body}
@@ -415,7 +387,6 @@ def _power_cycle_events(actor: ActorSpec, config: SimConfig, seed: int,
 
 def run_simulation(config: SimConfig, seed: int) -> SimResult:
     """Generate the full event log and ground truth for one run."""
-    config.validate()
     roster = generate_roster(config, seed)
 
     scripted: dict[str, dict[int, list[Event]]] = {}
@@ -450,4 +421,6 @@ def run_simulation(config: SimConfig, seed: int) -> SimResult:
                 events.extend(cycles[actor.actor_id].get(step, ()))
             if actor.actor_id in scripted:
                 events.extend(scripted[actor.actor_id].get(step, ()))
-    return SimResult(events=tuple(events), truths=tuple(truths), roster=roster)
+    return SimResult(events=tuple(events), truths=tuple(truths), roster=roster,
+                     seed=seed, total_steps=config.total_steps,
+                     warmup_steps=config.warmup_steps)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from sentinel import evalkit, siem, simkit
+from sentinel import evalkit, simkit
 
 SEEDS = tuple(evalkit.DEFAULT_SEEDS)
 VARIANTS = ("lsc", "ce", "eg", "eg-pt")
@@ -35,38 +35,22 @@ def experiment_matrix(pretrained_model, sim_results):
     replication checks. Alerts are kept (not just reports) so gate audits
     can inspect evidence.
     """
-    cfg = simkit.default_config()
     cells = {}
     t0 = time.monotonic()
     for seed in SEEDS:
-        sim = sim_results[seed]
-        malicious = [t.actor_id for t in sim.truths if t.malicious]
         for name in VARIANTS:
-            variant = siem.variant_config(name)
-            model = pretrained_model if variant.pretrained_model else None
-            alerts = siem.run_detection(
-                sim.events, sim.roster, malicious, variant, seed,
-                cfg.total_steps, cfg.warmup_steps, model=model)
-            report = evalkit.score_run(name, seed, 4.0, alerts, sim.truths,
-                                       cfg.warmup_steps)
-            cells[(name, seed)] = (alerts, report)
+            cells[(name, seed)] = evalkit.run_cell(
+                name, sim_results[seed], model=pretrained_model)
     return {"cells": cells, "elapsed": time.monotonic() - t0}
 
 
 @pytest.fixture(scope="session")
 def lsc_sweep(sim_results):
     """(theta, seed) -> report for the LSC threshold sweep, plus wall time."""
-    cfg = simkit.default_config()
     cells = {}
     t0 = time.monotonic()
     for theta in evalkit.SWEEP_THETAS:
         for seed in SEEDS:
-            sim = sim_results[seed]
-            malicious = [t.actor_id for t in sim.truths if t.malicious]
-            variant = siem.variant_config("lsc", theta_base=theta)
-            alerts = siem.run_detection(
-                sim.events, sim.roster, malicious, variant, seed,
-                cfg.total_steps, cfg.warmup_steps)
-            cells[(theta, seed)] = evalkit.score_run(
-                "lsc", seed, theta, alerts, sim.truths, cfg.warmup_steps)
+            cells[(theta, seed)] = evalkit.run_cell(
+                "lsc", sim_results[seed], theta)[1]
     return {"cells": cells, "elapsed": time.monotonic() - t0}

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sentinel import evalkit, forensics, siem, simkit
+from sentinel import evalkit, simkit
 from sentinel.anomaly import IsoForest, average_path_length
 from sentinel.events import (Alert, Evidence, EvidenceKind, GroundTruth,
                              serialize_alert_log, serialize_event_log)
@@ -342,13 +342,8 @@ def test_criterion_10_determinism():
 
     def one_pass():
         matrix, sweep = evalkit.run_experiment(seeds=seeds, sweep=False)
-        cfg = simkit.default_config()
-        sim = simkit.run_simulation(cfg, seeds[0])
-        variant = siem.variant_config("eg")
-        alerts = siem.run_detection(
-            sim.events, sim.roster,
-            [t.actor_id for t in sim.truths if t.malicious],
-            variant, seeds[0], cfg.total_steps, cfg.warmup_steps)
+        sim = simkit.run_simulation(simkit.default_config(), seeds[0])
+        alerts, _ = evalkit.run_cell("eg", sim)
         return (evalkit.reports_to_csv(matrix).encode(),
                 serialize_event_log(sim.events),
                 serialize_alert_log(alerts))

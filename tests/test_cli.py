@@ -76,8 +76,9 @@ def test_detect_missing_inputs(tmp_path):
     (lambda e: e.update(step=True), "step must be an int"),
     (lambda e: e.update(step=2.5), "step must be an int"),
     (lambda e: e.update(step=9999), "step 9999: outside"),
+    (lambda e: e.update(actor_id=["u001"]), "actor_id must be a string"),
 ], ids=["unknown_actor", "non_string_body", "bool_step", "float_step",
-        "step_past_end"])
+        "step_past_end", "list_actor_id"])
 def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
                                     named):
     # A corrupted copy of the first email goes right after it, or last when
@@ -107,9 +108,17 @@ def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
     (lambda d: d.update(seed=[7]), "int seed"),
     (lambda d: d["actors"].append(7), "malformed actor entry"),
     (lambda d: d["ground_truth"].pop(), "name different actors"),
+    (lambda d: d["actors"].append(dict(d["actors"][0], role="admin")),
+     "an actor twice"),
+    (lambda d: d["ground_truth"].append(d["ground_truth"][0]),
+     "an actor twice"),
+    (lambda d: d["ground_truth"][-1].update(malicious="yes"),
+     "must be booleans"),
+    (lambda d: d["actors"][0].update(compliance=1), "must be booleans"),
 ], ids=["empty_object", "string_total_steps", "int_ground_truth",
         "warmup_past_total", "bool_warmup", "list_seed", "int_actor_entry",
-        "truth_misses_actor"])
+        "truth_misses_actor", "duplicate_actor", "duplicate_truth",
+        "string_malicious", "int_compliance"])
 def test_detect_hostile_sidecar_exits_2(simulated, tmp_path, capsys, corrupt,
                                         named):
     sidecar = json.loads((simulated / "truth.json").read_text())

@@ -5,9 +5,11 @@ import io
 
 import pytest
 
+from sentinel import simkit
 from sentinel.events import Alert, Evidence, EvidenceKind, GroundTruth, Scenario
-from sentinel.evalkit import (CSV_COLUMNS, actor_metrics, aggregate,
-                              alert_metrics, f1_score, reports_to_csv,
+from sentinel.evalkit import (CSV_COLUMNS, SWEEP_THETAS, actor_metrics,
+                              aggregate, alert_metrics, f1_score,
+                              reports_to_csv, run_cell, run_experiment,
                               score_run, ttd, ttd_by_scenario)
 
 _EV = (Evidence(EvidenceKind.POLICY_VIOLATION, 2.0, 0),)
@@ -111,3 +113,28 @@ def test_csv_shape_and_formatting():
     assert rows[2][1] == "mean"
     assert rows[1][3] == "1.000000"  # floats carry six decimals
     assert rows[1][-1] == ""  # undetected scenario leaves the cell empty
+
+
+def test_run_experiment_simulates_each_seed_once(monkeypatch):
+    config = simkit.SimConfig(total_steps=110)
+    seeds = (7, 8)
+    logs = {seed: simkit.run_simulation(config, seed) for seed in seeds}
+    simulated = []
+
+    def counting(sim_config, seed):
+        simulated.append(seed)
+        return logs[seed]
+    monkeypatch.setattr(simkit, "run_simulation", counting)
+    matrix, sweep = run_experiment(variants=("lsc", "ce"), seeds=seeds,
+                                   sim_config=config, sweep=True)
+    assert simulated == list(seeds)
+
+    # The same rows built cell by cell, in the variant-major matrix and the
+    # theta-major sweep order.
+    def rows(variant, theta):
+        reports = [run_cell(variant, logs[seed], theta)[1] for seed in seeds]
+        return reports + [aggregate(reports)]
+    assert reports_to_csv(matrix) == reports_to_csv(
+        rows("lsc", 4.0) + rows("ce", 4.0))
+    assert reports_to_csv(sweep) == reports_to_csv(
+        [r for theta in SWEEP_THETAS for r in rows("lsc", theta)])

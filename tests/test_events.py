@@ -77,9 +77,13 @@ def test_event_payload_validation():
         Event(0, "u001", ActionKind.LOGIN, {"context": "normal", "x": 1})
     with pytest.raises(ValueError, match="context"):
         Event(0, "u001", ActionKind.LOGIN, {"context": "weekend"})
-    with pytest.raises(ValueError, match="volume"):
-        Event(0, "u001", ActionKind.FILE_EXPORT,
-              {"volume": -5, "resource": "crm_db", "destination": "internal"})
+    for volume in (-5, True):
+        with pytest.raises(ValueError, match="volume"):
+            Event(0, "u001", ActionKind.FILE_EXPORT,
+                  {"volume": volume, "resource": "crm_db",
+                   "destination": "internal"})
+    with pytest.raises(ValueError, match="actor_id must be a string"):
+        Event(0, ["u001"], ActionKind.LOGIN, {"context": "normal"})
     with pytest.raises(ValueError, match="negative step"):
         Event(-1, "u001", ActionKind.LOGIN, {"context": "normal"})
     for kind, payload in (

@@ -1,5 +1,6 @@
-"""Behaviour lock: CLI outputs for seed 101 match the stored reference
-digests, and the benchmark's tracer still finds what it wraps.
+"""Behaviour lock: CLI outputs for seed 101, the LSC sweep's CSVs
+included, match the stored reference digests, and the benchmark's tracer
+still finds what it wraps.
 
 The digests live in ``bench/reference.json`` (sections ``"101"`` and
 ``"model"``), which the benchmark checks every output against; this test
@@ -47,6 +48,20 @@ def test_seed_101_outputs_match_reference_digests(tmp_path, monkeypatch):
                   if _sha256(path) != reference["101"][name]]
     if _sha256(model_path) != reference["model"]["forensics_model.json"]:
         mismatched.append("forensics_model.json")
+    assert not mismatched, f"outputs differ from {REFERENCE.name}: {mismatched}"
+
+
+def test_seed_101_lsc_sweep_matches_reference_digests(tmp_path, monkeypatch):
+    # The benchmark's lsc-sweep command: `experiment --variants lsc --sweep`
+    # over seed 101 alone.
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    reference = json.loads(REFERENCE.read_text("utf-8"))["101"]
+    config, out = tmp_path / "sweep.json", tmp_path / "sweep"
+    config.write_text(json.dumps({"seeds": [101]}), "utf-8")
+    assert main(["--config", str(config), "experiment", "--variants", "lsc",
+                 "--sweep", "--out", str(out)]) == 0
+    mismatched = [name for name in ("experiment.csv", "sweep.csv")
+                  if _sha256(out / name) != reference[name]]
     assert not mismatched, f"outputs differ from {REFERENCE.name}: {mismatched}"
 
 
