@@ -22,11 +22,23 @@ from .events import (parse_event_log, serialize_alert_log,
 
 ENV_CONFIG = "SENTINEL_CONFIG"
 
-_CONFIG_KEYS = {
-    "seed", "seeds", "variant", "theta_base", "out_dir",
-    "total_steps", "warmup_steps", "mistake_prob", "power_report_every",
-    "forensics_model", "n_ham", "n_spam", "train_seed",
+_INT, _INTS, _NUMBER, _STR = ("an integer", "a list of integers", "a number",
+                               "a string")
+_CONFIG_KEYS = {   # key -> the type its value must have
+    "seed": _INT, "seeds": _INTS, "variant": _STR, "theta_base": _NUMBER,
+    "out_dir": _STR, "total_steps": _INT, "warmup_steps": _INT,
+    "mistake_prob": _NUMBER, "power_report_every": _INT,
+    "forensics_model": _STR, "n_ham": _INT, "n_spam": _INT, "train_seed": _INT,
 }
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind == _INTS:
+        return isinstance(value, list) and all(_has_type(v, _INT) for v in value)
+    if kind == _STR:
+        return isinstance(value, str)
+    return isinstance(value, int if kind == _INT else (int, float)) \
+        and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -47,9 +59,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in sorted(doc.items()):
+        if not _has_type(value, _CONFIG_KEYS[key]):
+            raise ConfigError(f"config key {key!r} must be "
+                              f"{_CONFIG_KEYS[key]}, got {value!r}")
     return doc
 
 

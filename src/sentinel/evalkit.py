@@ -144,18 +144,28 @@ def train_default_model(seed: int = FORENSICS_TRAIN_SEED,
     return forensics.train_classifier(corpus)
 
 
+def run_cells(cells: Sequence[tuple[str, float]], log: simkit.SimResult,
+              model: Optional[forensics.PretrainedModel] = None
+              ) -> list[tuple[list[Alert], RunReport]]:
+    """(variant, theta) cells over one log in one engine pass: the feature
+    pass is shared, then each cell decides and is scored. One (alerts,
+    report) per cell, in order."""
+    engine = siem.SiemEngine(
+        [siem.variant_config(name, theta) for name, theta in cells],
+        log.roster, [t.actor_id for t in log.truths if t.malicious],
+        log.seed, model=model)
+    alert_lists = engine.run(log.events, log.total_steps, log.warmup_steps)
+    return [(alerts, score_run(name, log.seed, theta, alerts, log.truths,
+                               log.warmup_steps))
+            for (name, theta), alerts in zip(cells, alert_lists)]
+
+
 def run_cell(variant_name: str, log: simkit.SimResult,
              theta_base: float = 4.0,
              model: Optional[forensics.PretrainedModel] = None
              ) -> tuple[list[Alert], RunReport]:
     """One (variant, theta) cell over one log: correlate, then score."""
-    variant = siem.variant_config(variant_name, theta_base=theta_base)
-    alerts = siem.run_detection(
-        log.events, log.roster,
-        [t.actor_id for t in log.truths if t.malicious],
-        variant, log.seed, log.total_steps, log.warmup_steps, model=model)
-    return alerts, score_run(variant_name, log.seed, theta_base, alerts,
-                             log.truths, log.warmup_steps)
+    return run_cells([(variant_name, theta_base)], log, model)[0]
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
@@ -231,8 +241,9 @@ def run_experiment(variants: Sequence[str] = siem.VARIANT_NAMES,
                    sweep: bool = False) -> tuple[list[RunReport], list[RunReport]]:
     """Full variant x seed matrix; optionally the LSC theta sweep.
 
-    Simulates each seed once and runs each distinct (variant, theta) cell
-    of it once, so the LSC matrix cell doubles as the sweep's theta=4 cell.
+    Simulates each seed once and runs every distinct (variant, theta) cell
+    of it in one run_cells call, so the engine's feature pass runs once per
+    seed and the LSC matrix cell doubles as the sweep's theta=4 cell.
     Returns (matrix reports incl. per-variant means, sweep reports incl.
     per-theta means), variant-major and theta-major.
     """
@@ -244,8 +255,9 @@ def run_experiment(variants: Sequence[str] = siem.VARIANT_NAMES,
         cell: [] for cell in matrix_cells + sweep_cells}
     for seed in seeds:
         log = simkit.run_simulation(cfg, seed)
-        for (variant, theta), rows in runs.items():
-            rows.append(run_cell(variant, log, theta, model)[1])
+        for rows, (_, report) in zip(runs.values(),
+                                     run_cells(list(runs), log, model)):
+            rows.append(report)
         del log  # one log alive at a time
 
     def with_means(cells) -> list[RunReport]:

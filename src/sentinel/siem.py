@@ -8,16 +8,20 @@ evidence; EG adds the precision layers: evidence gating, peer normalization,
 regularity suppression, contradiction checking, and the compliance override.
 
 Each actor's window is read once per step, by summarize(); every layer reads
-the resulting WindowSummary instead of the events.
+the resulting WindowSummary instead of the events. One engine run serves a
+list of (variant, theta) cells: the feature pass builds each step's evidence
+once, and each cell keeps its own trust, scorer and alerts.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
@@ -404,9 +408,12 @@ def satisfied_gates(summary: WindowSummary, evidence: Sequence[Evidence],
     if any(l <= s <= l + chain_window
            for l, _ in summary.suspicious_logins for s in sensitive):
         gates.append(GATE_LOGIN_CONTEXT)
-    if len({e.kind for e in evidence}) >= 4:
-        gates.append(GATE_EXCESS)
-    return tuple(gates)
+    return tuple(gates) + excess_gate(evidence)
+
+
+def excess_gate(evidence: Sequence[Evidence]) -> tuple[str, ...]:
+    """The one gate that reads the evidence: four distinct kinds."""
+    return (GATE_EXCESS,) if len({e.kind for e in evidence}) >= 4 else ()
 
 
 def gate_confirm(risk: float, evidence: Sequence[Evidence], theta_confirm: float,
@@ -436,46 +443,77 @@ class _ActorState:
     spec: ActorSpec
     window: deque = field(default_factory=deque)
     ewma: dict = field(default_factory=dict)
-    trust: TrustState = field(default_factory=TrustState)
     policy_cache: deque = field(default_factory=deque)   # (step, rule ids)
-    phishing: deque = field(default_factory=deque)       # (step, prob)
+    phishing: deque = field(default_factory=deque)   # (step, {pretrained: p})
+
+
+@dataclass
+class _Row:
+    """One actor at one step as every cell reads it. The two reads only
+    some decisions need are made once, when first asked for."""
+    features: dict   # Variant -> (evidence before ML, scorer features, after)
+    summary: WindowSummary
+    forest: Optional[anomaly.IsoForest]   # None: no ML advice
+    gate_args: tuple[int, int]            # chain window, staging minimum
+
+    @cached_property
+    def forest_score(self) -> float:
+        return self.forest.score(anomaly.behavior_vector(self.summary))
+
+    @cached_property
+    def window_gates(self) -> tuple[str, ...]:
+        return satisfied_gates(self.summary, (), *self.gate_args)
+
+
+@dataclass
+class _Cell:
+    """One (variant, theta) cell's decision state."""
+    variant: VariantConfig
+    trust: dict                             # actor id -> TrustState
+    scorer: Optional[OnlineScorer] = None   # its copy of the warm-up fit
+    # The scorer's outputs by feature vector since its last update: it
+    # changes only on a confirmed alert.
+    predictions: dict = field(default_factory=dict)
+    alerts: list = field(default_factory=list)
 
 
 class SiemEngine:
-    """Runs one variant over one event log; see run()."""
+    """Runs (variant, theta) cells over one event log: one feature pass
+    that every cell shares, one decision state per cell; see run()."""
 
-    def __init__(self, variant: VariantConfig, roster: Sequence[ActorSpec],
+    def __init__(self, cells: Sequence[VariantConfig],
+                 roster: Sequence[ActorSpec],
                  malicious_actors: Sequence[str], seed: int,
                  model: Optional[forensics.PretrainedModel] = None):
-        if variant.pretrained_model and model is None:
+        if not cells:
+            raise ValueError("no (variant, theta) cell to run")
+        if any(c.pretrained_model for c in cells) and model is None:
             raise ValueError("EG_SIEM_PT requires a pretrained forensics model")
-        self.variant = variant
-        self.config = DetectorConfig()
+        ids = [a.actor_id for a in roster]
+        for actor_id in sorted(ids):
+            if ids.count(actor_id) > 1:
+                raise ValueError(f"roster lists actor {actor_id!r} twice")
+        cfg = self.config = DetectorConfig()
+        # Forensics and gating nest in VARIANT_NAMES order, so the widest
+        # cell has either layer when some cell has it.
+        self.variant = max(cells, key=lambda c: VARIANT_NAMES.index(
+            c.variant.value))
+        self.variants = [VariantConfig(v)
+                         for v in dict.fromkeys(c.variant for c in cells)]
+        read = [v for v in self.variants if v.forensics]
+        self._phish_kinds = sorted({v.pretrained_model for v in read})
+        self._tom_kinds = sorted({v.gating for v in read})
         self.rules = PolicyRules.bundled()
         self.library = tom.PlanLibrary.bundled()
         self.model = model
         self.seed = seed
         self.malicious = frozenset(malicious_actors)
-        self.actors = {
-            a.actor_id: _ActorState(
-                spec=a,
-                ewma={m: EwmaState(alpha=self.config.ewma_alpha)
-                      for m in EWMA_METRICS},
-                trust=TrustState(trust=self.config.trust_init),
-            )
-            for a in roster
-        }
-        self.scorer = OnlineScorer(lr=self.config.scorer_online_lr)
+        self.actors = {a.actor_id: _ActorState(spec=a, ewma={
+            m: EwmaState(alpha=cfg.ewma_alpha) for m in EWMA_METRICS})
+            for a in roster}
+        self.cells = [_Cell(c, dict.fromkeys(ids, TrustState(cfg.trust_init)))
+                      for c in cells]
         self.forests: dict[Role, anomaly.IsoForest] = {}
-        self._warmup_samples: list[tuple[float, ...]] = []
-        self._warmup_vectors: dict[Role, list[tuple[float, ...]]] = {}
-
-    # -- helpers ----------------------------------------------------------
-
-    def _phish_prob(self, body: str) -> float:
-        if self.variant.pretrained_model:
-            return self.model.phishing_prob(body)
-        return forensics.keyword_phishing_score(body)
 
     def _ingest(self, state: _ActorState, event: Event) -> None:
         state.window.append(event)
@@ -483,8 +521,11 @@ class SiemEngine:
         if hits:
             state.policy_cache.append((event.step, hits))
         if self.variant.forensics and event.kind is ActionKind.EMAIL_SEND:
-            state.phishing.append((event.step, self._phish_prob(
-                event.payload["body"])))
+            body = event.payload["body"]
+            state.phishing.append((event.step, {
+                pt: self.model.phishing_prob(body) if pt
+                else forensics.keyword_phishing_score(body)
+                for pt in self._phish_kinds}))
 
     def _evict(self, state: _ActorState, now: int) -> None:
         horizon = now - self.config.window
@@ -509,114 +550,165 @@ class SiemEngine:
             floor *= self.config.ewma_vol_scale
         return self.config.ewma_eps + floor
 
-    # -- correlation ------------------------------------------------------
+    # -- feature pass -----------------------------------------------------
 
     def correlate(self, actor_id: str, step: int, summary: WindowSummary,
-                  deviations: Mapping[str, float], theta_confirm: float,
-                  role_volumes: Mapping[str, float]) -> tuple[
-                      float, tuple[Evidence, ...], tuple[str, ...],
-                      tuple[float, ...]]:
-        """Assemble the evidence set and risk for one actor at one step.
+                  deviations: Mapping[str, float],
+                  role_volumes: Mapping[str, float]) -> _Row:
+        """One actor's evidence at one step for every requested variant,
+        all but the ML-anomaly item, which reads each cell's own scorer.
+        Nothing here depends on theta or trust.
 
         ``role_volumes`` maps the actor and its role peers to their peer
-        volumes; only gating variants read it. Returns (risk after ML
-        advice, evidence, satisfied gates, scorer features).
+        volumes; only gating variants read it.
         """
         cfg = self.config
         state = self.actors[actor_id]
-        gating = self.variant.gating
-        evidence: list[Evidence] = []
-
         rules_seen: dict[str, int] = {}
         for s, hits in state.policy_cache:
             for rule in hits:
                 rules_seen.setdefault(rule, s)
-        for rule, s in sorted(rules_seen.items()):
-            evidence.append(Evidence(kind=EvidenceKind.POLICY_VIOLATION,
-                                     weight=cfg.w_policy, step=s, detail=rule))
+        policy = [Evidence(kind=EvidenceKind.POLICY_VIOLATION,
+                           weight=cfg.w_policy, step=s, detail=rule)
+                  for rule, s in sorted(rules_seen.items())]
 
-        reg_mult = 1.0
-        if gating:
-            reg_mult = regularity_suppression(
-                summary.export_steps, cfg.cv_min, cfg.m_reg,
-                cfg.regularity_min_events)
         # Only the strongest metric contributes: one behavioral anomaly score
         # per actor, not one per metric.
         top_metric = max(EWMA_METRICS, key=lambda m: deviations[m])
         dev = deviations[top_metric]
-        if dev >= cfg.d_min:
-            weight = min(cfg.w_baseline * dev, cfg.baseline_cap) * reg_mult
-            evidence.append(Evidence(kind=EvidenceKind.BASELINE_DEVIATION,
-                                     weight=weight, step=step, detail=top_metric))
+        reg_mult = 1.0
+        if self.variant.gating and dev >= cfg.d_min:
+            reg_mult = regularity_suppression(
+                summary.export_steps, cfg.cv_min, cfg.m_reg,
+                cfg.regularity_min_events)
 
+        window_evidence = []
         if summary.suspicious_logins:
             first_step, context = summary.suspicious_logins[0]
-            evidence.append(Evidence(kind=EvidenceKind.AFTER_HOURS_LOGIN,
-                                     weight=cfg.w_suspicious_login,
-                                     step=first_step, detail=context))
-
+            window_evidence.append(Evidence(
+                kind=EvidenceKind.AFTER_HOURS_LOGIN,
+                weight=cfg.w_suspicious_login, step=first_step,
+                detail=context))
         staging_count = len(summary.staging_export_steps)
         if staging_count >= cfg.staging_min:
-            evidence.append(Evidence(kind=EvidenceKind.STAGING_PATTERN,
-                                     weight=cfg.w_staging, step=step,
-                                     detail=f"count={staging_count}"))
+            window_evidence.append(Evidence(
+                kind=EvidenceKind.STAGING_PATTERN, weight=cfg.w_staging,
+                step=step, detail=f"count={staging_count}"))
 
-        forensics_flag = False
-        if self.variant.forensics and state.phishing:
-            top = max(p for _, p in state.phishing)
-            if top >= cfg.phishing_threshold:
-                forensics_flag = True
-                evidence.append(Evidence(kind=EvidenceKind.FORENSICS_FLAG,
-                                         weight=cfg.w_forensics, step=step,
-                                         detail=f"max_phish={top:.3f}"))
-
-        tom_ev = None
+        top_phish = {pt: max(probs[pt] for _, probs in state.phishing)
+                     for pt in self._phish_kinds} if state.phishing else {}
+        # ToM evidence by gating: gating variants check contradictions first.
+        intent = {}
         if self.variant.forensics and state.window:
             hyps = tom.abduce(list(state.window), self.library, cfg.tom_config,
                               self.rules.approved_email_domains)
-            if gating:
-                context = tom.ActorContext(
-                    compliance_approval=state.spec.compliance,
-                    benign_hypotheses=tuple(h for h in hyps if not h.malicious),
-                )
-                hyps = [tom.check_contradiction(h, context) for h in hyps]
-            tom_ev = tom.tom_evidence(hyps, step, cfg.tom_config)
+            for gating in self._tom_kinds:
+                checked = hyps
+                if gating:
+                    context = tom.ActorContext(
+                        compliance_approval=state.spec.compliance,
+                        benign_hypotheses=tuple(h for h in hyps
+                                                if not h.malicious))
+                    checked = [tom.check_contradiction(h, context)
+                               for h in hyps]
+                intent[gating] = tom.tom_evidence(checked, step, cfg.tom_config)
+        peer = []
+        if self.variant.gating:
+            peers = [v for other, v in role_volumes.items() if other != actor_id]
+            peer_ev = peer_normalize(role_volumes[actor_id], peers, step, cfg)
+            peer = [peer_ev] if peer_ev is not None else []
+
+        features = {}
+        for v in self.variants:
+            # Risk is summed in this append order, and float addition is not
+            # associative: policy, baseline, login, staging, forensics, ToM.
+            evidence = list(policy)
+            if dev >= cfg.d_min:
+                weight = min(cfg.w_baseline * dev, cfg.baseline_cap) * (
+                    reg_mult if v.gating else 1.0)
+                evidence.append(Evidence(
+                    kind=EvidenceKind.BASELINE_DEVIATION, weight=weight,
+                    step=step, detail=top_metric))
+            evidence += window_evidence
+            top = top_phish.get(v.pretrained_model) if v.forensics else None
+            flagged = top is not None and top >= cfg.phishing_threshold
+            if flagged:
+                evidence.append(Evidence(
+                    kind=EvidenceKind.FORENSICS_FLAG, weight=cfg.w_forensics,
+                    step=step, detail=f"max_phish={top:.3f}"))
+            tom_ev = intent.get(v.gating) if v.forensics else None
             if tom_ev is not None:
                 evidence.append(tom_ev)
+            x = scorer_features(summary, flagged, tom_ev is not None)
+            features[v.variant] = (evidence, x, peer if v.gating else [])
+        forest = self.forests.get(state.spec.role) if state.window else None
+        return _Row(features, summary, forest,
+                    (cfg.chain_window, cfg.gate_staging_min))
 
-        # run() fits the scorer before the first post-warm-up step.
-        x = scorer_features(summary, forensics_flag, tom_ev is not None)
-        p = self.scorer.predict(x)
+    # -- decision ---------------------------------------------------------
+
+    def _decide(self, cell: _Cell, actor_id: str, step: int,
+                row: _Row) -> None:
+        """One cell's decision for one actor: ML evidence from the cell's
+        scorer, peer evidence, risk, ML advice and the gates; then the
+        alert, and trust and scorer feedback on a confirmed one."""
+        cfg = self.config
+        trust = cell.trust[actor_id]
+        if trust.trust != cfg.trust_init:   # a decay tick keeps it there
+            trust = cell.trust[actor_id] = update_trust(trust, "decay_tick",
+                                                        cfg)
+        before, x, after = row.features[cell.variant.variant]
+        p = cell.predictions.get(x)
+        if p is None:
+            p = cell.predictions[x] = cell.scorer.predict(x)
+        if p < cfg.scorer_gate and not before and not after:
+            return
+        theta_early, theta_confirm = thresholds(
+            trust.trust, cell.variant.theta_base, cfg.theta_slope,
+            cfg.early_fraction)
+        evidence = list(before)
         if p >= cfg.scorer_gate:
             evidence.append(Evidence(
                 kind=EvidenceKind.ML_ANOMALY,
                 weight=min(cfg.w_scorer * (p - 0.5), cfg.scorer_cap),
                 step=step, detail=f"p={p:.3f}"))
-
-        if gating:
-            peers = [v for other, v in role_volumes.items() if other != actor_id]
-            peer_ev = peer_normalize(role_volumes[actor_id], peers, step, cfg)
-            if peer_ev is not None:
-                evidence.append(peer_ev)
-
+        evidence += after
         risk = sum(e.weight for e in evidence)
-        if (self.forests.get(state.spec.role) is not None and state.window
-                and risk >= cfg.ml_config.band * theta_confirm):
-            score = self.forests[state.spec.role].score(
-                anomaly.behavior_vector(summary))
-            risk = anomaly.ml_advice(score, risk, theta_confirm, cfg.ml_config)
-
+        if row.forest is not None and risk >= cfg.ml_config.band * theta_confirm:
+            risk = anomaly.ml_advice(row.forest_score, risk, theta_confirm,
+                                     cfg.ml_config)
+        gating = cell.variant.gating
         gates = ()
-        if gating:
-            gates = satisfied_gates(summary, evidence, cfg.chain_window,
-                                    cfg.gate_staging_min)
+        if gating and risk >= theta_confirm:   # gate_confirm reads no others
+            gates = row.window_gates + excess_gate(evidence)
+        confirmed = gate_confirm(risk, evidence, theta_confirm, gates, gating,
+                                 self.actors[actor_id].spec.compliance)
+        if not confirmed and risk < theta_early:
+            return
         evidence.sort(key=lambda e: (e.kind.value, e.step, e.detail))
-        return risk, tuple(evidence), gates, x
+        cell.alerts.append(Alert(
+            tier="confirmed" if confirmed else "early", actor_id=actor_id,
+            step=step, score=risk, evidence=tuple(evidence),
+            tom_assisted=any(e.kind is EvidenceKind.TOM_INTENT
+                             for e in evidence),
+            gates=gates if confirmed else ()))
+        if confirmed:
+            label = 1 if actor_id in self.malicious else 0
+            outcome = "true_positive" if label else "false_positive"
+            cell.trust[actor_id] = update_trust(trust, outcome, cfg)
+            cell.scorer.update(x, label)
+            cell.predictions.clear()
 
     # -- main loop --------------------------------------------------------
 
     def run(self, events: Sequence[Event], total_steps: int,
-            warmup_steps: int) -> list[Alert]:
+            warmup_steps: int) -> list[list[Alert]]:
+        """Each cell's alerts, in the order the cells were given.
+
+        Each step ingests, summarizes and updates the baselines once. After
+        the warm-up each actor is correlated once, then every cell decides
+        every actor in sorted order: a cell's one scorer learns as it goes.
+        """
         cfg = self.config
         by_step: dict[int, list[Event]] = {}
         for e in events:
@@ -629,7 +721,8 @@ class SiemEngine:
             by_step.setdefault(e.step, []).append(e)
         actor_ids = sorted(self.actors)
         w = float(cfg.window)
-        alerts: list[Alert] = []
+        warmup_samples: list[tuple[float, ...]] = []
+        warmup_vectors: dict[Role, list[tuple[float, ...]]] = {}
 
         for step in range(total_steps):
             for e in by_step.get(step, ()):
@@ -644,28 +737,29 @@ class SiemEngine:
                 rates = {"login_rate": summary.logins / w,
                          "query_rate": summary.queries / w,
                          "export_volume": summary.export_volume / w}
-                devs = {}
+                devs = deviations[actor_id] = {}
                 for metric in EWMA_METRICS:
                     eps = self._metric_eps(metric, state.ewma[metric].mean)
                     state.ewma[metric], devs[metric] = ewma_update(
                         state.ewma[metric], rates[metric], eps)
-                deviations[actor_id] = devs
 
             if step < warmup_steps:
                 if step % cfg.sample_every == 0 and step > 0:
                     for actor_id in actor_ids:
                         state = self.actors[actor_id]
-                        self._warmup_samples.append(
+                        warmup_samples.append(
                             scorer_features(summaries[actor_id], False, False))
                         if state.window:
-                            self._warmup_vectors.setdefault(
+                            warmup_vectors.setdefault(
                                 state.spec.role, []).append(
                                     anomaly.behavior_vector(summaries[actor_id]))
                 continue
             if step == warmup_steps:
-                self.scorer.warmup_fit(self._warmup_samples,
-                                       [0] * len(self._warmup_samples))
-                for role, vectors in sorted(self._warmup_vectors.items()):
+                scorer = OnlineScorer(lr=cfg.scorer_online_lr)
+                scorer.warmup_fit(warmup_samples, [0] * len(warmup_samples))
+                for cell in self.cells:
+                    cell.scorer = copy.deepcopy(scorer)
+                for role, vectors in sorted(warmup_vectors.items()):
                     if len(vectors) >= 2:
                         self.forests[role] = anomaly.IsoForest.fit(
                             vectors, seed=substream(
@@ -679,45 +773,20 @@ class SiemEngine:
                     volumes_by_role.setdefault(
                         self.actors[actor_id].spec.role, {})[actor_id] = \
                         summaries[actor_id].peer_volume
-
-            for actor_id in actor_ids:
-                state = self.actors[actor_id]
-                state.trust = update_trust(state.trust, "decay_tick", cfg)
-                theta_early, theta_confirm = thresholds(
-                    state.trust.trust, self.variant.theta_base,
-                    cfg.theta_slope, cfg.early_fraction)
-                risk, evidence, gates, x = self.correlate(
-                    actor_id, step, summaries[actor_id], deviations[actor_id],
-                    theta_confirm, volumes_by_role.get(state.spec.role, {}))
-                if not evidence:
-                    continue
-                tom_assisted = any(e.kind is EvidenceKind.TOM_INTENT
-                                   for e in evidence)
-                confirmed = gate_confirm(risk, evidence, theta_confirm, gates,
-                                         self.variant.gating,
-                                         state.spec.compliance)
-                if confirmed:
-                    alerts.append(Alert(tier="confirmed", actor_id=actor_id,
-                                        step=step, score=risk,
-                                        evidence=evidence,
-                                        tom_assisted=tom_assisted,
-                                        gates=gates))
-                    label = 1 if actor_id in self.malicious else 0
-                    outcome = "true_positive" if label else "false_positive"
-                    state.trust = update_trust(state.trust, outcome, cfg)
-                    self.scorer.update(x, label)
-                elif risk >= theta_early:
-                    alerts.append(Alert(tier="early", actor_id=actor_id,
-                                        step=step, score=risk,
-                                        evidence=evidence,
-                                        tom_assisted=tom_assisted))
-        return alerts
+            rows = [self.correlate(
+                actor_id, step, summaries[actor_id], deviations[actor_id],
+                volumes_by_role.get(self.actors[actor_id].spec.role, {}))
+                for actor_id in actor_ids]
+            for cell in self.cells:
+                for actor_id, row in zip(actor_ids, rows):
+                    self._decide(cell, actor_id, step, row)
+        return [cell.alerts for cell in self.cells]
 
 
 def run_detection(events: Sequence[Event], roster: Sequence[ActorSpec],
                   malicious_actors: Sequence[str], variant: VariantConfig,
                   seed: int, total_steps: int, warmup_steps: int,
                   model: Optional[forensics.PretrainedModel] = None) -> list[Alert]:
-    """Convenience wrapper: build an engine and run it over one log."""
-    engine = SiemEngine(variant, roster, malicious_actors, seed, model=model)
-    return engine.run(events, total_steps, warmup_steps)
+    """Convenience wrapper: run one variant over one log."""
+    engine = SiemEngine([variant], roster, malicious_actors, seed, model=model)
+    return engine.run(events, total_steps, warmup_steps)[0]

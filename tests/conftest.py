@@ -38,9 +38,9 @@ def experiment_matrix(pretrained_model, sim_results):
     cells = {}
     t0 = time.monotonic()
     for seed in SEEDS:
-        for name in VARIANTS:
-            cells[(name, seed)] = evalkit.run_cell(
-                name, sim_results[seed], model=pretrained_model)
+        runs = evalkit.run_cells([(name, 4.0) for name in VARIANTS],
+                                 sim_results[seed], pretrained_model)
+        cells.update(((name, seed), run) for name, run in zip(VARIANTS, runs))
     return {"cells": cells, "elapsed": time.monotonic() - t0}
 
 
@@ -49,8 +49,9 @@ def lsc_sweep(sim_results):
     """(theta, seed) -> report for the LSC threshold sweep, plus wall time."""
     cells = {}
     t0 = time.monotonic()
-    for theta in evalkit.SWEEP_THETAS:
-        for seed in SEEDS:
-            cells[(theta, seed)] = evalkit.run_cell(
-                "lsc", sim_results[seed], theta)[1]
+    for seed in SEEDS:
+        runs = evalkit.run_cells([("lsc", t) for t in evalkit.SWEEP_THETAS],
+                                 sim_results[seed])
+        cells.update(((theta, seed), report) for theta, (_, report)
+                     in zip(evalkit.SWEEP_THETAS, runs))
     return {"cells": cells, "elapsed": time.monotonic() - t0}

@@ -177,6 +177,25 @@ def test_config_errors(tmp_path):
     assert main(["--config", str(unknown), "simulate"]) == 1
 
 
+@pytest.mark.parametrize("config, command, key", [
+    ({"theta_base": "4"}, "detect", "theta_base"),
+    ({"total_steps": "240"}, "simulate", "total_steps"),
+    ({"seed": True}, "simulate", "seed"),
+    ({"variant": ["lsc"]}, "detect", "variant"),
+], ids=["string_theta_base", "string_total_steps", "bool_seed", "list_variant"])
+def test_config_value_of_wrong_type_exits_1(simulated, tmp_path, capsys,
+                                            config, command, key):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    argv = ["--config", str(path), command, "--out", str(tmp_path / "o")]
+    if command == "detect":
+        argv[3:3] = [str(simulated / "events.jsonl")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
 def test_config_env_var(tmp_path, small_config, monkeypatch):
     monkeypatch.setenv("SENTINEL_CONFIG", small_config)
     out = tmp_path / "env"

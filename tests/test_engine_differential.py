@@ -3,13 +3,14 @@
 ``oracle_engine`` is the correlation engine as it stood before every layer
 read the window through one summary. Both engines run the same small,
 hostile-shaped logs for every variant and three base thresholds, and must
-write byte-identical alert logs. The golden digests pin simulator-shaped
-logs; these logs pin the edges a rewrite is likely to break: events leaving
-the window at its first and last step, several events per actor in one
-step, export volumes on the large-export line and tied, both suspicious
-login contexts in one step, approved, denied and unapproved recipients,
-role peers for peer normalisation, a compliance power user, and a staged
-exfiltration chain that opens the gates and the intent layer.
+write byte-identical alert logs; the engine runs all twelve cells in one
+shared feature pass, the reference one cell at a time. The golden digests
+pin simulator-shaped logs; these logs pin the edges a rewrite is likely to
+break: events leaving the window at its first and last step, several events
+per actor in one step, export volumes on the large-export line and tied,
+both suspicious login contexts in one step, approved, denied and unapproved
+recipients, role peers for peer normalisation, a compliance power user, and
+a staged exfiltration chain that opens the gates and the intent layer.
 """
 
 import oracle_engine
@@ -135,17 +136,17 @@ def model():
 @settings(max_examples=24, derandomize=True, deadline=None)
 @given(log=logs())
 def test_engine_matches_frozen_reference(model, log):
+    # All twelve cells go through one shared feature pass; each must match
+    # the reference engine run on its own.
     events, total, warmup = log
-    for name in VARIANTS:
-        pt_model = model if name == "eg-pt" else None
-        for theta in THETAS:
-            expected = oracle_engine.run_detection(
-                events, ROSTER, MALICIOUS,
-                oracle_engine.variant_config(name, theta_base=theta), 11,
-                total, warmup, model=pt_model)
-            got = siem.run_detection(
-                events, ROSTER, MALICIOUS,
-                siem.variant_config(name, theta_base=theta), 11, total,
-                warmup, model=pt_model)
-            assert serialize_alert_log(got) == \
-                serialize_alert_log(expected), (name, theta)
+    cells = [(name, theta) for name in VARIANTS for theta in THETAS]
+    got = siem.SiemEngine(
+        [siem.variant_config(name, theta_base=theta) for name, theta in cells],
+        ROSTER, MALICIOUS, 11, model=model).run(events, total, warmup)
+    for (name, theta), alerts in zip(cells, got):
+        expected = oracle_engine.run_detection(
+            events, ROSTER, MALICIOUS,
+            oracle_engine.variant_config(name, theta_base=theta), 11,
+            total, warmup, model=model if name == "eg-pt" else None)
+        assert serialize_alert_log(alerts) == \
+            serialize_alert_log(expected), (name, theta)

@@ -2,10 +2,11 @@
 
 import csv
 import io
+from collections import Counter
 
 import pytest
 
-from sentinel import simkit
+from sentinel import anomaly, siem, simkit
 from sentinel.events import Alert, Evidence, EvidenceKind, GroundTruth, Scenario
 from sentinel.evalkit import (CSV_COLUMNS, SWEEP_THETAS, actor_metrics,
                               aggregate, alert_metrics, f1_score,
@@ -138,3 +139,29 @@ def test_run_experiment_simulates_each_seed_once(monkeypatch):
         rows("lsc", 4.0) + rows("ce", 4.0))
     assert reports_to_csv(sweep) == reports_to_csv(
         [r for theta in SWEEP_THETAS for r in rows("lsc", theta)])
+
+
+def test_run_experiment_shares_one_feature_pass_per_seed(monkeypatch):
+    # The LSC matrix and sweep cells of one seed share one engine run: one
+    # warm-up scorer fit and one forest per role, not one per cell.
+    config = simkit.SimConfig(total_steps=110)
+    log = simkit.run_simulation(config, 7)
+    monkeypatch.setattr(simkit, "run_simulation", lambda cfg, seed: log)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(siem.SiemEngine, "run",
+                        counting("run", siem.SiemEngine.run))
+    monkeypatch.setattr(siem.OnlineScorer, "warmup_fit", counting(
+        "warmup_fit", siem.OnlineScorer.warmup_fit))
+    monkeypatch.setattr(anomaly.IsoForest, "fit", classmethod(
+        counting("fit", anomaly.IsoForest.fit.__func__)))
+    matrix, sweep = run_experiment(variants=("lsc",), seeds=(7,),
+                                   sim_config=config, sweep=True)
+    roles = {a.role for a in log.roster}
+    assert dict(calls) == {"run": 1, "warmup_fit": 1, "fit": len(roles)}
+    assert len(matrix) == 2 and len(sweep) == 2 * len(SWEEP_THETAS)

@@ -11,8 +11,8 @@ from sentinel.events import ActionKind, Event, Evidence, EvidenceKind, Role
 from sentinel.rng import substream
 from sentinel.siem import (DetectorConfig, EwmaState, GATE_EXCESS,
                            GATE_LOGIN_CONTEXT, GATE_STAGING, GATE_TIGHT_CHAIN,
-                           OnlineScorer, PolicyRules, TrustState, ewma_update,
-                           gate_confirm, peer_normalize,
+                           OnlineScorer, PolicyRules, SiemEngine, TrustState,
+                           ewma_update, gate_confirm, peer_normalize,
                            regularity_suppression, run_detection,
                            satisfied_gates, scorer_features, summarize,
                            thresholds, update_trust, variant_config)
@@ -167,6 +167,14 @@ def test_engine_policy_evidence_one_item_per_distinct_rule():
     w = DetectorConfig().w_policy
     assert policy == [("denied_domain:darkpartner.example", 1, w),
                       ("export_cap:staff", 2, w)]
+
+
+def test_engine_rejects_an_actor_listed_twice():
+    roster = [ActorSpec("u001", Role.STAFF, malicious=False),
+              ActorSpec("u002", Role.STAFF, malicious=False),
+              ActorSpec("u001", Role.ADMIN, malicious=False)]
+    with pytest.raises(ValueError, match="'u001' twice"):
+        SiemEngine([variant_config("lsc")], roster, [], seed=1)
 
 
 # -- variant configs --------------------------------------------------------
