@@ -13,7 +13,7 @@ SEED = 101
 
 
 def main() -> None:
-    config = simkit.default_config()
+    config = simkit.SimConfig()
     config.total_steps = 110
     sim = simkit.run_simulation(config, SEED)
     insiders = {t.actor_id: t for t in sim.truths if t.malicious}

@@ -4,12 +4,11 @@ __version__ = "0.1.0"
 
 from .events import (ActionKind, Alert, Event, Evidence, EvidenceKind,
                      GroundTruth, Role, Scenario)
-from .siem import DetectorConfig, SiemEngine, Variant, VariantConfig, variant_config
-from .simkit import SimConfig, default_config, run_simulation
+from .siem import SiemEngine, Variant, VariantConfig
+from .simkit import SimConfig, run_simulation
 
 __all__ = [
     "ActionKind", "Alert", "Event", "Evidence", "EvidenceKind", "GroundTruth",
-    "Role", "Scenario", "DetectorConfig", "SiemEngine", "Variant",
-    "VariantConfig", "variant_config", "SimConfig", "default_config",
+    "Role", "Scenario", "SiemEngine", "Variant", "VariantConfig", "SimConfig",
     "run_simulation", "__version__",
 ]

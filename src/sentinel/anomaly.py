@@ -9,7 +9,6 @@ near-threshold risk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -115,22 +114,19 @@ def _build_tree(sample: list[tuple[float, ...]], rng, depth: int, limit: int) ->
             "right": _build_tree(right, rng, depth + 1, limit)}
 
 
-@dataclass(frozen=True)
-class MlAdviceConfig:
-    weight: float = 0.5
-    score_floor: float = 0.5   # forest scores below this are ignored
-    band: float = 0.8          # advice applies only when risk >= band * threshold
+ML_WEIGHT = 0.5        # risk added per unit of forest score over the floor
+ML_SCORE_FLOOR = 0.5   # forest scores below this are ignored
+ML_BAND = 0.8          # advice applies only when risk >= band * threshold
 
 
-def ml_advice(score: float, risk: float, theta_confirm: float,
-              config: MlAdviceConfig = MlAdviceConfig()) -> float:
+def ml_advice(score: float, risk: float, theta_confirm: float) -> float:
     """Nudge a near-threshold risk upward using the anomaly score.
 
     Never lowers risk; never fires below the near-threshold band; the nudge
     is capped so ML advice alone cannot bridge more than
     (1 - band) * theta_confirm.
     """
-    if risk < config.band * theta_confirm:
+    if risk < ML_BAND * theta_confirm:
         return risk
-    bump = config.weight * max(0.0, score - config.score_floor)
-    return risk + min(bump, (1.0 - config.band) * theta_confirm)
+    bump = ML_WEIGHT * max(0.0, score - ML_SCORE_FLOOR)
+    return risk + min(bump, (1.0 - ML_BAND) * theta_confirm)

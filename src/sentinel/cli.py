@@ -53,10 +53,11 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
+        raise ConfigError(f"config file {path} is not valid JSON: "
+                          f"{getattr(exc, 'msg', exc)}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
@@ -122,7 +123,10 @@ def _read_sidecar(path: Path, events) -> simkit.SimResult:
     same actors, each once, with bool `malicious` and `compliance` flags,
     an int seed (default 101) and int steps 0 <= warmup_steps < total_steps.
     """
-    doc = json.loads(path.read_text("utf-8"))
+    try:
+        doc = json.loads(path.read_text("utf-8"))
+    except RecursionError:
+        raise ValueError("truth sidecar nests JSON too deep") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("actors"), list)
             and isinstance(doc.get("ground_truth"), list)):
         raise ValueError("truth sidecar must be an object with 'actors' and "
@@ -171,7 +175,7 @@ def cmd_detect(args, cfg: dict) -> int:
     theta = args.theta_base if args.theta_base is not None else \
         cfg.get("theta_base", 4.0)
     model = None
-    if siem.variant_config(name).pretrained_model:
+    if siem.VariantConfig(name).pretrained_model:
         model_path = args.model or cfg.get("forensics_model")
         if model_path is None:
             print("error: variant eg-pt needs --model PATH", file=sys.stderr)
@@ -196,6 +200,10 @@ def cmd_detect(args, cfg: dict) -> int:
 def cmd_experiment(args, cfg: dict) -> int:
     sim_config = _sim_config(cfg)
     seeds = cfg.get("seeds", list(evalkit.DEFAULT_SEEDS))
+    if (len(seeds) if args.runs is None else args.runs) < 1:
+        print("error: experiment needs at least one seed (--runs >= 1 or a "
+              "non-empty 'seeds' list)", file=sys.stderr)
+        return 1
     if args.runs is not None:
         seeds = seeds[:args.runs]
         if len(seeds) < args.runs:

@@ -151,7 +151,7 @@ def run_cells(cells: Sequence[tuple[str, float]], log: simkit.SimResult,
     pass is shared, then each cell decides and is scored. One (alerts,
     report) per cell, in order."""
     engine = siem.SiemEngine(
-        [siem.variant_config(name, theta) for name, theta in cells],
+        [siem.VariantConfig(name, theta) for name, theta in cells],
         log.roster, [t.actor_id for t in log.truths if t.malicious],
         log.seed, model=model)
     alert_lists = engine.run(log.events, log.total_steps, log.warmup_steps)
@@ -247,7 +247,7 @@ def run_experiment(variants: Sequence[str] = siem.VARIANT_NAMES,
     Returns (matrix reports incl. per-variant means, sweep reports incl.
     per-theta means), variant-major and theta-major.
     """
-    cfg = sim_config or simkit.default_config()
+    cfg = sim_config or simkit.SimConfig()
     model = train_default_model() if "eg-pt" in variants else None
     matrix_cells = [(v, 4.0) for v in variants]
     sweep_cells = [("lsc", t) for t in SWEEP_THETAS] if sweep else []

@@ -175,16 +175,22 @@ def serialize_event_log(events: Sequence[Event]) -> bytes:
 
 
 def parse_event_log(stream: bytes) -> list[Event]:
-    """Inverse of serialize_event_log; rejects malformed or non-monotone logs."""
+    """Inverse of serialize_event_log; rejects malformed or non-monotone logs.
+    Any bytes give events or a LogFormatError."""
     events: list[Event] = []
     last_step = -1
-    for lineno, line in enumerate(stream.decode("utf-8").splitlines(), start=1):
+    try:
+        text = stream.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"log is not UTF-8: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:   # RecursionError: too deep
+            raise LogFormatError(f"line {lineno}: malformed JSON "
+                                 f"({getattr(exc, 'msg', exc)})") from exc
         try:
             kind = ActionKind(obj["kind"])
         except ValueError:

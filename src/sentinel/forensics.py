@@ -368,9 +368,9 @@ def save_model(model: PretrainedModel) -> bytes:
 def load_model(payload: bytes) -> PretrainedModel:
     try:
         doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"corrupt model payload: {exc}") from exc
-    version = doc.get("format_version")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {version!r} "

@@ -69,54 +69,6 @@ class VariantConfig:
         return self.variant is Variant.EG_SIEM_PT
 
 
-def variant_config(name: str, theta_base: float = 4.0) -> VariantConfig:
-    return VariantConfig(Variant(name), theta_base)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    window: int = 20
-    chain_window: int = 10
-    theta_slope: float = 2.0
-    early_fraction: float = 0.6
-    ewma_alpha: float = 0.05
-    ewma_eps: float = 1e-6
-    ewma_vol_scale: float = 300.0   # typical export size for the variance floor
-    d_min: float = 1.3
-    w_baseline: float = 1.5
-    baseline_cap: float = 2.2
-    w_policy: float = 2.0
-    w_scorer: float = 2.0
-    scorer_gate: float = 0.6
-    scorer_cap: float = 0.4
-    scorer_online_lr: float = 0.1
-    w_forensics: float = 2.0
-    phishing_threshold: float = 0.7
-    w_suspicious_login: float = 0.4
-    w_staging: float = 1.5
-    staging_min: int = 3        # exports needed for staging_pattern evidence
-    gate_staging_min: int = 2   # exports needed for the StagingActivity gate
-    peer_z_min: float = 2.5
-    w_peer: float = 0.5
-    peer_cap: float = 1.0
-    peer_eps: float = 300.0
-    peer_min_group: int = 3
-    cv_min: float = 0.25
-    m_reg: float = 0.5
-    regularity_min_events: int = 3
-    trust_init: float = 0.7
-    trust_lo: float = 0.10
-    trust_hi: float = 0.95
-    trust_delta_tp: float = -0.15
-    trust_delta_fp: float = 0.05
-    trust_decay: float = 0.01
-    iforest_psi: int = 64
-    iforest_trees: int = 50
-    sample_every: int = 5
-    tom_config: tom.TomConfig = field(default_factory=tom.TomConfig)
-    ml_config: anomaly.MlAdviceConfig = field(default_factory=anomaly.MlAdviceConfig)
-
-
 # ---------------------------------------------------------------------------
 # Policy rules
 
@@ -160,6 +112,10 @@ class PolicyRules:
 # ---------------------------------------------------------------------------
 # EWMA baselines
 
+EWMA_EPS = 1e-6
+EWMA_VOL_SCALE = 300.0   # typical export size for the variance floor
+
+
 @dataclass(frozen=True)
 class EwmaState:
     mean: float = 0.0
@@ -174,7 +130,7 @@ class EwmaState:
 
 
 def ewma_update(state: EwmaState, x: float,
-                eps: float = 1e-6) -> tuple[EwmaState, float]:
+                eps: float = EWMA_EPS) -> tuple[EwmaState, float]:
     """One observation: deviation against the old state, then the update."""
     deviation = max(0.0, (x - state.mean) / math.sqrt(state.var + eps))
     a = state.alpha
@@ -186,9 +142,9 @@ def ewma_update(state: EwmaState, x: float,
 # ---------------------------------------------------------------------------
 # Trust
 
-@dataclass(frozen=True)
-class TrustState:
-    trust: float = 0.7
+TRUST_INIT, TRUST_LO, TRUST_HI = 0.7, 0.10, 0.95
+TRUST_DELTA_TP, TRUST_DELTA_FP, TRUST_DECAY = -0.15, 0.05, 0.01
+THETA_SLOPE, EARLY_FRACTION = 2.0, 0.6   # confirm and early thresholds
 
 
 def thresholds(trust: float, theta_base: float, theta_slope: float,
@@ -197,23 +153,20 @@ def thresholds(trust: float, theta_base: float, theta_slope: float,
     return early_fraction * theta_confirm, theta_confirm
 
 
-def update_trust(state: TrustState, outcome: str,
-                 config: DetectorConfig = DetectorConfig()) -> TrustState:
-    """Apply one trust outcome; always clamped to the configured bounds."""
-    t = state.trust
+def update_trust(t: float, outcome: str) -> float:
+    """Apply one trust outcome; always clamped to [TRUST_LO, TRUST_HI]."""
     if outcome == "true_positive":
-        t += config.trust_delta_tp
+        t += TRUST_DELTA_TP
     elif outcome == "false_positive":
-        t += config.trust_delta_fp
+        t += TRUST_DELTA_FP
     elif outcome == "decay_tick":
-        if t > config.trust_init:
-            t = max(config.trust_init, t - config.trust_decay)
-        elif t < config.trust_init:
-            t = min(config.trust_init, t + config.trust_decay)
+        if t > TRUST_INIT:
+            t = max(TRUST_INIT, t - TRUST_DECAY)
+        elif t < TRUST_INIT:
+            t = min(TRUST_INIT, t + TRUST_DECAY)
     else:
         raise ValueError(f"unknown trust outcome {outcome!r}")
-    t = min(config.trust_hi, max(config.trust_lo, t))
-    return TrustState(trust=t)
+    return min(TRUST_HI, max(TRUST_LO, t))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +237,15 @@ def summarize(window: Sequence[Event],
 # ---------------------------------------------------------------------------
 # EG layers
 
-def regularity_suppression(export_steps: Sequence[int], cv_min: float = 0.25,
-                           m_reg: float = 0.5, min_events: int = 3) -> float:
+CV_MIN, M_REG, REGULARITY_MIN_EVENTS = 0.25, 0.5, 3
+PEER_Z_MIN, PEER_EPS, PEER_MIN_GROUP = 2.5, 300.0, 3
+W_PEER, PEER_CAP = 0.5, 1.0
+
+
+def regularity_suppression(export_steps: Sequence[int]) -> float:
     """Multiplier for baseline weights when exports follow a regular beat."""
     steps = sorted(export_steps)
-    if len(steps) < min_events:
+    if len(steps) < REGULARITY_MIN_EVENTS:
         return 1.0
     gaps = [b - a for a, b in zip(steps, steps[1:])]
     mean = sum(gaps) / len(gaps)
@@ -296,13 +253,13 @@ def regularity_suppression(export_steps: Sequence[int], cv_min: float = 0.25,
         return 1.0
     var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
     cv = math.sqrt(var) / mean
-    return m_reg if cv < cv_min else 1.0
+    return M_REG if cv < CV_MIN else 1.0
 
 
-def peer_normalize(actor_volume: float, peer_volumes: Sequence[float], step: int,
-                   config: DetectorConfig = DetectorConfig()) -> Optional[Evidence]:
+def peer_normalize(actor_volume: float, peer_volumes: Sequence[float],
+                   step: int) -> Optional[Evidence]:
     """Robust z of the actor's window export volume against role peers."""
-    if len(peer_volumes) < config.peer_min_group:
+    if len(peer_volumes) < PEER_MIN_GROUP:
         return None
     ordered = sorted(peer_volumes)
     n = len(ordered)
@@ -311,11 +268,11 @@ def peer_normalize(actor_volume: float, peer_volumes: Sequence[float], step: int
     deviations = sorted(abs(v - median) for v in ordered)
     mad = (deviations[n // 2] if n % 2 else
            0.5 * (deviations[n // 2 - 1] + deviations[n // 2]))
-    z = (actor_volume - median) / (mad + config.peer_eps)
-    if z < config.peer_z_min:
+    z = (actor_volume - median) / (mad + PEER_EPS)
+    if z < PEER_Z_MIN:
         return None
     return Evidence(kind=EvidenceKind.PEER_EXPORT_OUTLIER,
-                    weight=min(config.w_peer * z, config.peer_cap),
+                    weight=min(W_PEER * z, PEER_CAP),
                     step=step, detail=f"z={z:.2f}")
 
 
@@ -380,6 +337,8 @@ GATE_TIGHT_CHAIN = "tight_exfiltration_chain"
 GATE_STAGING = "staging_activity"
 GATE_LOGIN_CONTEXT = "login_context"
 GATE_EXCESS = "excess_evidence"
+CHAIN_WINDOW = 10       # steps a tight chain or a login-to-access pair spans
+GATE_STAGING_MIN = 2    # staged exports the StagingActivity gate needs
 
 # Event kinds each gate is triggered by, for the compliance override check.
 _GATE_TRIGGER_KINDS = {
@@ -392,23 +351,23 @@ _GATE_TRIGGER_KINDS = {
 }
 
 
-def satisfied_gates(summary: WindowSummary, evidence: Sequence[Evidence],
-                    chain_window: int, staging_min: int = 2) -> tuple[str, ...]:
-    """EG escalation gates over the current window."""
+def satisfied_gates(summary: WindowSummary) -> tuple[str, ...]:
+    """EG escalation gates over the current window; excess_gate() adds the
+    one that reads the evidence."""
     gates = []
     sensitive = summary.sensitive_steps
     external, staged = summary.external_export_steps, summary.staging_export_steps
-    if any(s <= x <= m and m - s <= chain_window
+    if any(s <= x <= m and m - s <= CHAIN_WINDOW
            for s in sensitive for x in external
            for m in summary.unapproved_email_steps if x <= m):
         gates.append(GATE_TIGHT_CHAIN)
-    if len(staged) >= staging_min and external \
-            and sorted(staged)[staging_min - 1] <= max(external):
+    if len(staged) >= GATE_STAGING_MIN and external \
+            and sorted(staged)[GATE_STAGING_MIN - 1] <= max(external):
         gates.append(GATE_STAGING)
-    if any(l <= s <= l + chain_window
+    if any(l <= s <= l + CHAIN_WINDOW
            for l, _ in summary.suspicious_logins for s in sensitive):
         gates.append(GATE_LOGIN_CONTEXT)
-    return tuple(gates) + excess_gate(evidence)
+    return tuple(gates)
 
 
 def excess_gate(evidence: Sequence[Evidence]) -> tuple[str, ...]:
@@ -438,6 +397,17 @@ def gate_confirm(risk: float, evidence: Sequence[Evidence], theta_confirm: float
 # ---------------------------------------------------------------------------
 # Engine
 
+WINDOW = 20         # steps an actor's window spans
+SAMPLE_EVERY = 5    # warm-up steps between scorer and forest samples
+D_MIN = 1.3         # EWMA deviation that counts as a baseline anomaly
+W_POLICY = 2.0
+W_BASELINE, BASELINE_CAP = 1.5, 2.2
+W_SUSPICIOUS_LOGIN = 0.4
+W_STAGING, STAGING_MIN = 1.5, 3   # staged exports for staging_pattern evidence
+W_FORENSICS, PHISHING_THRESHOLD = 2.0, 0.7
+W_SCORER, SCORER_GATE, SCORER_CAP = 2.0, 0.6, 0.4
+
+
 @dataclass
 class _ActorState:
     spec: ActorSpec
@@ -454,7 +424,6 @@ class _Row:
     features: dict   # Variant -> (evidence before ML, scorer features, after)
     summary: WindowSummary
     forest: Optional[anomaly.IsoForest]   # None: no ML advice
-    gate_args: tuple[int, int]            # chain window, staging minimum
 
     @cached_property
     def forest_score(self) -> float:
@@ -462,14 +431,14 @@ class _Row:
 
     @cached_property
     def window_gates(self) -> tuple[str, ...]:
-        return satisfied_gates(self.summary, (), *self.gate_args)
+        return satisfied_gates(self.summary)
 
 
 @dataclass
 class _Cell:
     """One (variant, theta) cell's decision state."""
     variant: VariantConfig
-    trust: dict                             # actor id -> TrustState
+    trust: dict                             # actor id -> trust level
     scorer: Optional[OnlineScorer] = None   # its copy of the warm-up fit
     # The scorer's outputs by feature vector since its last update: it
     # changes only on a confirmed alert.
@@ -493,7 +462,6 @@ class SiemEngine:
         for actor_id in sorted(ids):
             if ids.count(actor_id) > 1:
                 raise ValueError(f"roster lists actor {actor_id!r} twice")
-        cfg = self.config = DetectorConfig()
         # Forensics and gating nest in VARIANT_NAMES order, so the widest
         # cell has either layer when some cell has it.
         self.variant = max(cells, key=lambda c: VARIANT_NAMES.index(
@@ -508,11 +476,9 @@ class SiemEngine:
         self.model = model
         self.seed = seed
         self.malicious = frozenset(malicious_actors)
-        self.actors = {a.actor_id: _ActorState(spec=a, ewma={
-            m: EwmaState(alpha=cfg.ewma_alpha) for m in EWMA_METRICS})
-            for a in roster}
-        self.cells = [_Cell(c, dict.fromkeys(ids, TrustState(cfg.trust_init)))
-                      for c in cells]
+        self.actors = {a.actor_id: _ActorState(spec=a, ewma=dict.fromkeys(
+            EWMA_METRICS, EwmaState())) for a in roster}
+        self.cells = [_Cell(c, dict.fromkeys(ids, TRUST_INIT)) for c in cells]
         self.forests: dict[Role, anomaly.IsoForest] = {}
 
     def _ingest(self, state: _ActorState, event: Event) -> None:
@@ -528,7 +494,7 @@ class SiemEngine:
                 for pt in self._phish_kinds}))
 
     def _evict(self, state: _ActorState, now: int) -> None:
-        horizon = now - self.config.window
+        horizon = now - WINDOW
         while state.window and state.window[0].step <= horizon:
             state.window.popleft()
         while state.policy_cache and state.policy_cache[0][0] <= horizon:
@@ -544,11 +510,10 @@ class SiemEngine:
         variance has collapsed; export volume scales that by a typical
         export size.
         """
-        w = float(self.config.window)
-        floor = max(0.0, mean) / w
+        floor = max(0.0, mean) / WINDOW
         if metric == "export_volume":
-            floor *= self.config.ewma_vol_scale
-        return self.config.ewma_eps + floor
+            floor *= EWMA_VOL_SCALE
+        return EWMA_EPS + floor
 
     # -- feature pass -----------------------------------------------------
 
@@ -562,14 +527,13 @@ class SiemEngine:
         ``role_volumes`` maps the actor and its role peers to their peer
         volumes; only gating variants read it.
         """
-        cfg = self.config
         state = self.actors[actor_id]
         rules_seen: dict[str, int] = {}
         for s, hits in state.policy_cache:
             for rule in hits:
                 rules_seen.setdefault(rule, s)
         policy = [Evidence(kind=EvidenceKind.POLICY_VIOLATION,
-                           weight=cfg.w_policy, step=s, detail=rule)
+                           weight=W_POLICY, step=s, detail=rule)
                   for rule, s in sorted(rules_seen.items())]
 
         # Only the strongest metric contributes: one behavioral anomaly score
@@ -577,22 +541,20 @@ class SiemEngine:
         top_metric = max(EWMA_METRICS, key=lambda m: deviations[m])
         dev = deviations[top_metric]
         reg_mult = 1.0
-        if self.variant.gating and dev >= cfg.d_min:
-            reg_mult = regularity_suppression(
-                summary.export_steps, cfg.cv_min, cfg.m_reg,
-                cfg.regularity_min_events)
+        if self.variant.gating and dev >= D_MIN:
+            reg_mult = regularity_suppression(summary.export_steps)
 
         window_evidence = []
         if summary.suspicious_logins:
             first_step, context = summary.suspicious_logins[0]
             window_evidence.append(Evidence(
                 kind=EvidenceKind.AFTER_HOURS_LOGIN,
-                weight=cfg.w_suspicious_login, step=first_step,
+                weight=W_SUSPICIOUS_LOGIN, step=first_step,
                 detail=context))
         staging_count = len(summary.staging_export_steps)
-        if staging_count >= cfg.staging_min:
+        if staging_count >= STAGING_MIN:
             window_evidence.append(Evidence(
-                kind=EvidenceKind.STAGING_PATTERN, weight=cfg.w_staging,
+                kind=EvidenceKind.STAGING_PATTERN, weight=W_STAGING,
                 step=step, detail=f"count={staging_count}"))
 
         top_phish = {pt: max(probs[pt] for _, probs in state.phishing)
@@ -600,8 +562,8 @@ class SiemEngine:
         # ToM evidence by gating: gating variants check contradictions first.
         intent = {}
         if self.variant.forensics and state.window:
-            hyps = tom.abduce(list(state.window), self.library, cfg.tom_config,
-                              self.rules.approved_email_domains)
+            hyps = tom.abduce(list(state.window), self.library,
+                              approved_domains=self.rules.approved_email_domains)
             for gating in self._tom_kinds:
                 checked = hyps
                 if gating:
@@ -611,11 +573,11 @@ class SiemEngine:
                                                 if not h.malicious))
                     checked = [tom.check_contradiction(h, context)
                                for h in hyps]
-                intent[gating] = tom.tom_evidence(checked, step, cfg.tom_config)
+                intent[gating] = tom.tom_evidence(checked, step)
         peer = []
         if self.variant.gating:
             peers = [v for other, v in role_volumes.items() if other != actor_id]
-            peer_ev = peer_normalize(role_volumes[actor_id], peers, step, cfg)
+            peer_ev = peer_normalize(role_volumes[actor_id], peers, step)
             peer = [peer_ev] if peer_ev is not None else []
 
         features = {}
@@ -623,18 +585,18 @@ class SiemEngine:
             # Risk is summed in this append order, and float addition is not
             # associative: policy, baseline, login, staging, forensics, ToM.
             evidence = list(policy)
-            if dev >= cfg.d_min:
-                weight = min(cfg.w_baseline * dev, cfg.baseline_cap) * (
+            if dev >= D_MIN:
+                weight = min(W_BASELINE * dev, BASELINE_CAP) * (
                     reg_mult if v.gating else 1.0)
                 evidence.append(Evidence(
                     kind=EvidenceKind.BASELINE_DEVIATION, weight=weight,
                     step=step, detail=top_metric))
             evidence += window_evidence
             top = top_phish.get(v.pretrained_model) if v.forensics else None
-            flagged = top is not None and top >= cfg.phishing_threshold
+            flagged = top is not None and top >= PHISHING_THRESHOLD
             if flagged:
                 evidence.append(Evidence(
-                    kind=EvidenceKind.FORENSICS_FLAG, weight=cfg.w_forensics,
+                    kind=EvidenceKind.FORENSICS_FLAG, weight=W_FORENSICS,
                     step=step, detail=f"max_phish={top:.3f}"))
             tom_ev = intent.get(v.gating) if v.forensics else None
             if tom_ev is not None:
@@ -642,8 +604,7 @@ class SiemEngine:
             x = scorer_features(summary, flagged, tom_ev is not None)
             features[v.variant] = (evidence, x, peer if v.gating else [])
         forest = self.forests.get(state.spec.role) if state.window else None
-        return _Row(features, summary, forest,
-                    (cfg.chain_window, cfg.gate_staging_min))
+        return _Row(features, summary, forest)
 
     # -- decision ---------------------------------------------------------
 
@@ -652,31 +613,27 @@ class SiemEngine:
         """One cell's decision for one actor: ML evidence from the cell's
         scorer, peer evidence, risk, ML advice and the gates; then the
         alert, and trust and scorer feedback on a confirmed one."""
-        cfg = self.config
         trust = cell.trust[actor_id]
-        if trust.trust != cfg.trust_init:   # a decay tick keeps it there
-            trust = cell.trust[actor_id] = update_trust(trust, "decay_tick",
-                                                        cfg)
+        if trust != TRUST_INIT:   # a decay tick keeps it there
+            trust = cell.trust[actor_id] = update_trust(trust, "decay_tick")
         before, x, after = row.features[cell.variant.variant]
         p = cell.predictions.get(x)
         if p is None:
             p = cell.predictions[x] = cell.scorer.predict(x)
-        if p < cfg.scorer_gate and not before and not after:
+        if p < SCORER_GATE and not before and not after:
             return
         theta_early, theta_confirm = thresholds(
-            trust.trust, cell.variant.theta_base, cfg.theta_slope,
-            cfg.early_fraction)
+            trust, cell.variant.theta_base, THETA_SLOPE, EARLY_FRACTION)
         evidence = list(before)
-        if p >= cfg.scorer_gate:
+        if p >= SCORER_GATE:
             evidence.append(Evidence(
                 kind=EvidenceKind.ML_ANOMALY,
-                weight=min(cfg.w_scorer * (p - 0.5), cfg.scorer_cap),
+                weight=min(W_SCORER * (p - 0.5), SCORER_CAP),
                 step=step, detail=f"p={p:.3f}"))
         evidence += after
         risk = sum(e.weight for e in evidence)
-        if row.forest is not None and risk >= cfg.ml_config.band * theta_confirm:
-            risk = anomaly.ml_advice(row.forest_score, risk, theta_confirm,
-                                     cfg.ml_config)
+        if row.forest is not None and risk >= anomaly.ML_BAND * theta_confirm:
+            risk = anomaly.ml_advice(row.forest_score, risk, theta_confirm)
         gating = cell.variant.gating
         gates = ()
         if gating and risk >= theta_confirm:   # gate_confirm reads no others
@@ -695,7 +652,7 @@ class SiemEngine:
         if confirmed:
             label = 1 if actor_id in self.malicious else 0
             outcome = "true_positive" if label else "false_positive"
-            cell.trust[actor_id] = update_trust(trust, outcome, cfg)
+            cell.trust[actor_id] = update_trust(trust, outcome)
             cell.scorer.update(x, label)
             cell.predictions.clear()
 
@@ -709,7 +666,6 @@ class SiemEngine:
         the warm-up each actor is correlated once, then every cell decides
         every actor in sorted order: a cell's one scorer learns as it goes.
         """
-        cfg = self.config
         by_step: dict[int, list[Event]] = {}
         for e in events:
             if e.actor_id not in self.actors:
@@ -720,7 +676,7 @@ class SiemEngine:
                                  f"log's steps 0..{total_steps - 1}")
             by_step.setdefault(e.step, []).append(e)
         actor_ids = sorted(self.actors)
-        w = float(cfg.window)
+        w = float(WINDOW)
         warmup_samples: list[tuple[float, ...]] = []
         warmup_vectors: dict[Role, list[tuple[float, ...]]] = {}
 
@@ -744,7 +700,7 @@ class SiemEngine:
                         state.ewma[metric], rates[metric], eps)
 
             if step < warmup_steps:
-                if step % cfg.sample_every == 0 and step > 0:
+                if step % SAMPLE_EVERY == 0 and step > 0:
                     for actor_id in actor_ids:
                         state = self.actors[actor_id]
                         warmup_samples.append(
@@ -755,7 +711,7 @@ class SiemEngine:
                                     anomaly.behavior_vector(summaries[actor_id]))
                 continue
             if step == warmup_steps:
-                scorer = OnlineScorer(lr=cfg.scorer_online_lr)
+                scorer = OnlineScorer()
                 scorer.warmup_fit(warmup_samples, [0] * len(warmup_samples))
                 for cell in self.cells:
                     cell.scorer = copy.deepcopy(scorer)
@@ -764,8 +720,7 @@ class SiemEngine:
                         self.forests[role] = anomaly.IsoForest.fit(
                             vectors, seed=substream(
                                 self.seed, "forest", role.value).next_u64()
-                            & 0x7FFFFFFF,
-                            psi=cfg.iforest_psi, t=cfg.iforest_trees)
+                            & 0x7FFFFFFF)
 
             volumes_by_role: dict[Role, dict[str, float]] = {}
             if self.variant.gating:
@@ -782,11 +737,3 @@ class SiemEngine:
                     self._decide(cell, actor_id, step, row)
         return [cell.alerts for cell in self.cells]
 
-
-def run_detection(events: Sequence[Event], roster: Sequence[ActorSpec],
-                  malicious_actors: Sequence[str], variant: VariantConfig,
-                  seed: int, total_steps: int, warmup_steps: int,
-                  model: Optional[forensics.PretrainedModel] = None) -> list[Alert]:
-    """Convenience wrapper: run one variant over one log."""
-    engine = SiemEngine([variant], roster, malicious_actors, seed, model=model)
-    return engine.run(events, total_steps, warmup_steps)[0]

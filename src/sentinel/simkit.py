@@ -88,10 +88,6 @@ class SimConfig:
             raise ValueError("insider onset can fall past the end of the run")
 
 
-def default_config() -> SimConfig:
-    return SimConfig()
-
-
 @dataclass(frozen=True)
 class ActorSpec:
     actor_id: str

@@ -23,7 +23,7 @@ def pretrained_model():
 @pytest.fixture(scope="session")
 def sim_results():
     """seed -> SimResult for the default 10-seed experiment."""
-    cfg = simkit.default_config()
+    cfg = simkit.SimConfig()
     return {seed: simkit.run_simulation(cfg, seed) for seed in SEEDS}
 
 

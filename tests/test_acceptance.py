@@ -18,8 +18,8 @@ from sentinel.events import (Alert, Evidence, EvidenceKind, GroundTruth,
                              serialize_alert_log, serialize_event_log)
 from sentinel.forensics import MultinomialClassifier
 from sentinel.rng import substream
-from sentinel.siem import (DetectorConfig, EwmaState, TrustState, ewma_update,
-                           thresholds, update_trust)
+from sentinel.siem import (TRUST_HI, TRUST_INIT, TRUST_LO, EwmaState,
+                           ewma_update, thresholds, update_trust)
 
 SEEDS = tuple(evalkit.DEFAULT_SEEDS)
 INSIDER_IDS = {f"u{i:03d}" for i in range(35, 43)}
@@ -68,7 +68,7 @@ def _constructed_report(variant, seed, tp, fp, roster, warmup_steps):
 
 def test_criterion_1_metric_formula_fidelity():
     t0 = time.monotonic()
-    cfg = simkit.default_config()
+    cfg = simkit.SimConfig()
     roster = simkit.generate_roster(cfg, SEEDS[0])
     broken = []
     concavity, reproduction = {}, {}
@@ -127,22 +127,20 @@ def test_criterion_2_threshold_formula():
 
 def test_criterion_3_trust_dynamics():
     t0 = time.monotonic()
-    cfg = DetectorConfig()
     rng = substream(303, "acceptance-trust")
     outcomes = ("true_positive", "false_positive", "decay_tick")
     in_bounds = True
     for _ in range(10_000):
-        state = TrustState(trust=cfg.trust_lo
-                           + rng.random() * (cfg.trust_hi - cfg.trust_lo))
+        trust = TRUST_LO + rng.random() * (TRUST_HI - TRUST_LO)
         for _ in range(rng.randint(1, 15)):
-            state = update_trust(state, outcomes[rng.randint(0, 2)], cfg)
-            in_bounds &= cfg.trust_lo <= state.trust <= cfg.trust_hi
+            trust = update_trust(trust, outcomes[rng.randint(0, 2)])
+            in_bounds &= TRUST_LO <= trust <= TRUST_HI
     converged = True
-    for start in (cfg.trust_lo, cfg.trust_hi):
-        state = TrustState(trust=start)
+    for start in (TRUST_LO, TRUST_HI):
+        trust = start
         for _ in range(500):
-            state = update_trust(state, "decay_tick", cfg)
-        converged &= abs(state.trust - cfg.trust_init) < 1e-6
+            trust = update_trust(trust, "decay_tick")
+        converged &= abs(trust - TRUST_INIT) < 1e-6
     elapsed = time.monotonic() - t0
     ok = in_bounds and converged and elapsed < 5.0
     _verdict(3, ok, f"bounds [0.10, 0.95] held={in_bounds}, decay converges "
@@ -308,7 +306,7 @@ def test_criterion_8_lsc_sweep(lsc_sweep):
 # -- 9: EG gating audit -----------------------------------------------------
 
 def test_criterion_9_gating_audit(experiment_matrix):
-    cfg = simkit.default_config()
+    cfg = simkit.SimConfig()
     violations = 0
     subset_ok = True
     for seed in SEEDS:
@@ -342,7 +340,7 @@ def test_criterion_10_determinism():
 
     def one_pass():
         matrix, sweep = evalkit.run_experiment(seeds=seeds, sweep=False)
-        sim = simkit.run_simulation(simkit.default_config(), seeds[0])
+        sim = simkit.run_simulation(simkit.SimConfig(), seeds[0])
         alerts, _ = evalkit.run_cell("eg", sim)
         return (evalkit.reports_to_csv(matrix).encode(),
                 serialize_event_log(sim.events),

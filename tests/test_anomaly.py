@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from sentinel.anomaly import (IsoForest, MlAdviceConfig, average_path_length,
-                              behavior_vector, harmonic, ml_advice)
+from sentinel import anomaly
+from sentinel.anomaly import (IsoForest, average_path_length, behavior_vector,
+                              harmonic, ml_advice)
 from sentinel.events import ActionKind, Event
 from sentinel.rng import substream
 from sentinel.siem import summarize
@@ -71,25 +72,25 @@ def test_fit_validation():
 
 
 def test_ml_advice_band_and_cap():
-    cfg = MlAdviceConfig(weight=0.5, score_floor=0.5, band=0.8)
+    assert (anomaly.ML_WEIGHT, anomaly.ML_SCORE_FLOOR, anomaly.ML_BAND) == (
+        0.5, 0.5, 0.8)
     theta = 5.0
     # below the band: exact no-op regardless of score
-    assert ml_advice(0.99, 3.9, theta, cfg) == 3.9
+    assert ml_advice(0.99, 3.9, theta) == 3.9
     # inside the band: bump by weight * (score - floor), capped
-    assert ml_advice(0.7, 4.2, theta, cfg) == pytest.approx(4.2 + 0.5 * 0.2)
-    assert ml_advice(0.3, 4.2, theta, cfg) == 4.2  # below score floor
+    assert ml_advice(0.7, 4.2, theta) == pytest.approx(4.2 + 0.5 * 0.2)
+    assert ml_advice(0.3, 4.2, theta) == 4.2  # below score floor
     # the cap: advice alone cannot bridge more than (1 - band) * theta
-    assert ml_advice(5.0, 4.2, theta, cfg) == pytest.approx(4.2 + 0.2 * theta)
+    assert ml_advice(5.0, 4.2, theta) == pytest.approx(4.2 + 0.2 * theta)
 
 
 def test_ml_advice_never_lowers_risk():
-    cfg = MlAdviceConfig()
     rng = substream(3, "advice")
     for _ in range(500):
         risk = rng.random() * 8.0
         score = rng.random()
         theta = 3.0 + rng.random() * 4.0
-        assert ml_advice(score, risk, theta, cfg) >= risk
+        assert ml_advice(score, risk, theta) >= risk
 
 
 def test_behavior_vector_counts():

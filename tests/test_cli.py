@@ -8,6 +8,8 @@ from sentinel.cli import main
 from sentinel.events import parse_event_log
 
 SMALL = {"total_steps": 110, "warmup_steps": 60, "seed": 7}
+DEEP = b"[" * 100_000 + b"]" * 100_000   # nested past the recursion limit
+NOT_UTF8 = b'{"seed": "\xe9"}'
 
 
 @pytest.fixture()
@@ -77,20 +79,25 @@ def test_detect_missing_inputs(tmp_path):
     (lambda e: e.update(step=2.5), "step must be an int"),
     (lambda e: e.update(step=9999), "step 9999: outside"),
     (lambda e: e.update(actor_id=["u001"]), "actor_id must be a string"),
+    (lambda e: DEEP, "malformed JSON"),
+    (lambda e: b"\xff" + json.dumps(e).encode(), "not UTF-8"),
 ], ids=["unknown_actor", "non_string_body", "bool_step", "float_step",
-        "step_past_end", "list_actor_id"])
+        "step_past_end", "list_actor_id", "deep_nesting", "not_utf8"])
 def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
                                     named):
     # A corrupted copy of the first email goes right after it, or last when
     # the corruption moves its step, so the log stays step-ordered and only
-    # the corruption can be at fault.
+    # the corruption can be at fault. A corruption that returns bytes
+    # replaces the copied line with them.
     lines = (simulated / "events.jsonl").read_bytes().splitlines()
     at = next(i for i, line in enumerate(lines)
               if json.loads(line)["kind"] == "email_send")
     copy = json.loads(lines[at])
-    corrupt(copy)
+    line = corrupt(copy)
+    if not isinstance(line, bytes):
+        line = json.dumps(copy).encode()
     moved = copy["step"] != json.loads(lines[at])["step"]
-    lines.insert(len(lines) if moved else at + 1, json.dumps(copy).encode())
+    lines.insert(len(lines) if moved else at + 1, line)
     log = tmp_path / "hostile.jsonl"
     log.write_bytes(b"\n".join(lines) + b"\n")
     assert main(["detect", str(log), "--truth", str(simulated / "truth.json"),
@@ -115,18 +122,35 @@ def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
     (lambda d: d["ground_truth"][-1].update(malicious="yes"),
      "must be booleans"),
     (lambda d: d["actors"][0].update(compliance=1), "must be booleans"),
+    (lambda d: DEEP, "nests JSON too deep"),
 ], ids=["empty_object", "string_total_steps", "int_ground_truth",
         "warmup_past_total", "bool_warmup", "list_seed", "int_actor_entry",
         "truth_misses_actor", "duplicate_actor", "duplicate_truth",
-        "string_malicious", "int_compliance"])
+        "string_malicious", "int_compliance", "deep_nesting"])
 def test_detect_hostile_sidecar_exits_2(simulated, tmp_path, capsys, corrupt,
                                         named):
     sidecar = json.loads((simulated / "truth.json").read_text())
-    corrupt(sidecar)
     truth = tmp_path / "hostile_truth.json"
-    truth.write_text(json.dumps(sidecar))
+    payload = corrupt(sidecar)
+    truth.write_bytes(payload if isinstance(payload, bytes)
+                      else json.dumps(sidecar).encode())
     assert main(["detect", str(simulated / "events.jsonl"), "--truth",
                  str(truth), "--variant", "lsc",
+                 "--out", str(tmp_path / "det")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+@pytest.mark.parametrize("payload, named", [
+    (DEEP, "corrupt model payload"),
+    (b"[1]", "unsupported model format"),
+], ids=["deep_nesting", "json_list"])
+def test_detect_hostile_model_exits_2(simulated, tmp_path, capsys, payload,
+                                      named):
+    model = tmp_path / "hostile_model.json"
+    model.write_bytes(payload)
+    assert main(["detect", str(simulated / "events.jsonl"), "--variant",
+                 "eg-pt", "--model", str(model),
                  "--out", str(tmp_path / "det")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
@@ -166,6 +190,21 @@ def test_experiment_rejects_unknown_variant(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("seeds, runs", [
+    ([7, 8], "-1"), ([7, 8], "0"), ([], None),
+], ids=["negative_runs", "zero_runs", "empty_seeds"])
+def test_experiment_rejects_an_empty_seed_run(tmp_path, capsys, seeds, runs):
+    config = tmp_path / "seeds.json"
+    config.write_text(json.dumps({"seeds": seeds, "total_steps": 110}))
+    argv = ["--config", str(config), "experiment", "--variants", "lsc",
+            "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv + (["--runs", runs] if runs else [])) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert not (tmp_path / "x" / "experiment.csv").exists()
+
+
 def test_config_errors(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["--config", missing, "simulate"]) == 1
@@ -182,11 +221,16 @@ def test_config_errors(tmp_path):
     ({"total_steps": "240"}, "simulate", "total_steps"),
     ({"seed": True}, "simulate", "seed"),
     ({"variant": ["lsc"]}, "detect", "variant"),
-], ids=["string_theta_base", "string_total_steps", "bool_seed", "list_variant"])
+    (DEEP, "simulate", "not valid JSON"),
+    (NOT_UTF8, "simulate", "not valid JSON"),
+], ids=["string_theta_base", "string_total_steps", "bool_seed", "list_variant",
+        "deep_nesting", "not_utf8"])
 def test_config_value_of_wrong_type_exits_1(simulated, tmp_path, capsys,
                                             config, command, key):
+    # A bytes config is written as it is: a file that is not UTF-8 JSON.
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps(config))
+    path.write_bytes(config if isinstance(config, bytes)
+                     else json.dumps(config).encode())
     argv = ["--config", str(path), command, "--out", str(tmp_path / "o")]
     if command == "detect":
         argv[3:3] = [str(simulated / "events.jsonl")]

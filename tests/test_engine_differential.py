@@ -28,7 +28,7 @@ ROSTER = [ActorSpec(f"u00{i}", Role.STAFF, malicious=i == 2)
     ActorSpec("u006", Role.POWER_USER, malicious=False)]
 MALICIOUS = ["u002"]
 ACTORS = [a.actor_id for a in ROSTER]
-WINDOW = siem.DetectorConfig().window
+WINDOW = siem.WINDOW
 VARIANTS = ("lsc", "ce", "eg", "eg-pt")
 THETAS = (3.0, 4.0, 6.0)
 
@@ -141,7 +141,7 @@ def test_engine_matches_frozen_reference(model, log):
     events, total, warmup = log
     cells = [(name, theta) for name in VARIANTS for theta in THETAS]
     got = siem.SiemEngine(
-        [siem.variant_config(name, theta_base=theta) for name, theta in cells],
+        [siem.VariantConfig(name, theta_base=theta) for name, theta in cells],
         ROSTER, MALICIOUS, 11, model=model).run(events, total, warmup)
     for (name, theta), alerts in zip(cells, got):
         expected = oracle_engine.run_detection(

@@ -1,7 +1,7 @@
 """Data model validation and the JSONL interchange format."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentinel.events import (ActionKind, Alert, Event, Evidence, EvidenceKind,
@@ -53,6 +53,23 @@ def test_empty_log_round_trip():
 def test_parse_rejects_malformed_json():
     with pytest.raises(LogFormatError, match="line 1"):
         parse_event_log(b"{not json\n")
+
+
+@given(st.binary(max_size=200) | st.lists(
+    st.sampled_from([b"{", b"}", b"[", b"]", b'"step":', b'"kind":"login"',
+                     b'"payload":{"context":"normal"}', b'"actor_id":"u1"',
+                     b"0", b"-1", b"true", b"null", b",", b"\n", b"\xff"]),
+    max_size=30).map(b"".join))
+@example(b"[" * 100_000 + b"]" * 100_000 + b"\n")   # nested too deep
+@example(b'{"step": 0, "kind": "\xe9"}\n')            # not UTF-8
+@example(b"1" * 5000 + b"\n")                         # int past str limit
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_parse_any_bytes_gives_events_or_log_format_error(data):
+    try:
+        events = parse_event_log(data)
+    except LogFormatError:
+        return
+    assert all(isinstance(e, Event) for e in events)
 
 
 def test_parse_rejects_unknown_kind():

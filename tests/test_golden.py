@@ -82,12 +82,12 @@ def test_benchmark_tracer_wraps_every_target():
                         {"recipient_domain": "external",
                          "recipient": "x.example", "body": "hello"})]
         for name in VARIANTS[:3]:
-            siem.run_detection(events, roster, [], siem.variant_config(name),
-                               seed=1, total_steps=3, warmup_steps=0)
+            siem.SiemEngine([siem.VariantConfig(name)], roster, [],
+                            seed=1).run(events, total_steps=3, warmup_steps=0)
     finally:
         tracer.uninstall()
     assert siem.SiemEngine.run is original_run
     assert tracer.phish_scores == 2 and tracer.phish_wasted == 0
     assert tracer.abduce_calls > 0
     for name in VARIANTS:
-        assert siem.variant_config(name).forensics == (name != "lsc")
+        assert siem.VariantConfig(name).forensics == (name != "lsc")

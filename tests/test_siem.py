@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentinel import siem
 from sentinel.events import ActionKind, Event, Evidence, EvidenceKind, Role
 from sentinel.rng import substream
-from sentinel.siem import (DetectorConfig, EwmaState, GATE_EXCESS,
-                           GATE_LOGIN_CONTEXT, GATE_STAGING, GATE_TIGHT_CHAIN,
-                           OnlineScorer, PolicyRules, SiemEngine, TrustState,
-                           ewma_update, gate_confirm, peer_normalize,
-                           regularity_suppression, run_detection,
+from sentinel.siem import (EwmaState, GATE_EXCESS, GATE_LOGIN_CONTEXT,
+                           GATE_STAGING, GATE_TIGHT_CHAIN, TRUST_HI, TRUST_INIT,
+                           TRUST_LO, W_POLICY, OnlineScorer, PolicyRules,
+                           SiemEngine, VariantConfig, ewma_update, excess_gate,
+                           gate_confirm, peer_normalize, regularity_suppression,
                            satisfied_gates, scorer_features, summarize,
-                           thresholds, update_trust, variant_config)
+                           thresholds, update_trust)
 from sentinel.simkit import ActorSpec
 
 
@@ -85,29 +86,26 @@ def test_threshold_formula_grid_exact():
 
 
 def test_trust_bounds_ten_thousand_sequences():
-    cfg = DetectorConfig()
     rng = substream(17, "trust-fuzz")
     outcomes = ("true_positive", "false_positive", "decay_tick")
     for _ in range(10000):
-        state = TrustState(trust=cfg.trust_lo
-                           + rng.random() * (cfg.trust_hi - cfg.trust_lo))
+        trust = TRUST_LO + rng.random() * (TRUST_HI - TRUST_LO)
         for _ in range(rng.randint(1, 20)):
-            state = update_trust(state, outcomes[rng.randint(0, 2)], cfg)
-            assert cfg.trust_lo <= state.trust <= cfg.trust_hi
+            trust = update_trust(trust, outcomes[rng.randint(0, 2)])
+            assert TRUST_LO <= trust <= TRUST_HI
 
 
 def test_trust_decay_converges_from_both_bounds():
-    cfg = DetectorConfig()
-    for start in (cfg.trust_lo, cfg.trust_hi):
-        state = TrustState(trust=start)
+    for start in (TRUST_LO, TRUST_HI):
+        trust = start
         for _ in range(200):
-            state = update_trust(state, "decay_tick", cfg)
-        assert abs(state.trust - cfg.trust_init) < 1e-6
+            trust = update_trust(trust, "decay_tick")
+        assert abs(trust - TRUST_INIT) < 1e-6
 
 
 def test_trust_unknown_outcome():
     with pytest.raises(ValueError, match="unknown trust outcome"):
-        update_trust(TrustState(), "shrug")
+        update_trust(TRUST_INIT, "shrug")
 
 
 # -- policy rules -----------------------------------------------------------
@@ -156,17 +154,16 @@ def test_engine_policy_evidence_one_item_per_distinct_rule():
                      {"volume": 10_000, "resource": "shared_drive",
                       "destination": "external"})
     roster = [ActorSpec("u001", Role.STAFF, malicious=False)]
-    alerts = run_detection([denied_mail(1), over_cap, denied_mail(3)], roster,
-                           [], variant_config("lsc"), seed=1, total_steps=4,
-                           warmup_steps=0)
+    alerts = SiemEngine([VariantConfig("lsc")], roster, [], seed=1).run(
+        [denied_mail(1), over_cap, denied_mail(3)], total_steps=4,
+        warmup_steps=0)[0]
     at_step_3 = [a for a in alerts if a.step == 3]
     assert len(at_step_3) == 1
     policy = [(e.detail, e.step, e.weight) for e in at_step_3[0].evidence
               if e.kind is EvidenceKind.POLICY_VIOLATION]
     # the repeated rule counts once, at its first hit in the window
-    w = DetectorConfig().w_policy
-    assert policy == [("denied_domain:darkpartner.example", 1, w),
-                      ("export_cap:staff", 2, w)]
+    assert policy == [("denied_domain:darkpartner.example", 1, W_POLICY),
+                      ("export_cap:staff", 2, W_POLICY)]
 
 
 def test_engine_rejects_an_actor_listed_twice():
@@ -174,7 +171,7 @@ def test_engine_rejects_an_actor_listed_twice():
               ActorSpec("u002", Role.STAFF, malicious=False),
               ActorSpec("u001", Role.ADMIN, malicious=False)]
     with pytest.raises(ValueError, match="'u001' twice"):
-        SiemEngine([variant_config("lsc")], roster, [], seed=1)
+        SiemEngine([VariantConfig("lsc")], roster, [], seed=1)
 
 
 # -- variant configs --------------------------------------------------------
@@ -189,11 +186,11 @@ def test_variant_layer_matrix():
         "eg-pt": (True, True, True),
     }
     for name, layers in table.items():
-        cfg = variant_config(name, theta_base=5.0)
+        cfg = VariantConfig(name, theta_base=5.0)
         assert (cfg.forensics, cfg.gating, cfg.pretrained_model) == layers
         assert cfg.variant.value == name and cfg.theta_base == 5.0
     with pytest.raises(ValueError):
-        variant_config("bogus")
+        VariantConfig("bogus")
 
 
 # -- online scorer ----------------------------------------------------------
@@ -245,16 +242,15 @@ def _chain_window():
 
 
 def test_tight_chain_gate():
-    gates = satisfied_gates(summarize(_chain_window(), APPROVED), [],
-                            chain_window=10)
+    assert siem.CHAIN_WINDOW == 10
+    gates = satisfied_gates(summarize(_chain_window(), APPROVED))
     assert GATE_TIGHT_CHAIN in gates
     # same endpoints too far apart: no chain
     spread = _chain_window()
     spread[2] = Event(85, "u1", ActionKind.EMAIL_SEND,
                       {"recipient_domain": "external",
                        "recipient": "drop.example", "body": "x"})
-    assert GATE_TIGHT_CHAIN not in satisfied_gates(
-        summarize(spread, APPROVED), [], chain_window=10)
+    assert GATE_TIGHT_CHAIN not in satisfied_gates(summarize(spread, APPROVED))
 
 
 def test_tight_chain_ignores_approved_partner_mail():
@@ -262,8 +258,7 @@ def test_tight_chain_ignores_approved_partner_mail():
     window[2] = Event(75, "u1", ActionKind.EMAIL_SEND,
                       {"recipient_domain": "external",
                        "recipient": "partnercorp.example", "body": "x"})
-    assert GATE_TIGHT_CHAIN not in satisfied_gates(
-        summarize(window, APPROVED), [], chain_window=10)
+    assert GATE_TIGHT_CHAIN not in satisfied_gates(summarize(window, APPROVED))
 
 
 def test_staging_gate_needs_two_stages_then_external():
@@ -272,17 +267,17 @@ def test_staging_gate_needs_two_stages_then_external():
                              "destination": "staging"})
     ext = Event(80, "u1", ActionKind.FILE_EXPORT,
                 {"volume": 4000, "resource": "crm_db", "destination": "external"})
+    assert siem.GATE_STAGING_MIN == 2
     assert GATE_STAGING in satisfied_gates(
-        summarize([stage(70), stage(74), ext], APPROVED), [], 10, staging_min=2)
+        summarize([stage(70), stage(74), ext], APPROVED))
     assert GATE_STAGING not in satisfied_gates(
-        summarize([stage(70), ext], APPROVED), [], 10, staging_min=2)
+        summarize([stage(70), ext], APPROVED))
     # external before the second stage does not count
     early_ext = Event(72, "u1", ActionKind.FILE_EXPORT,
                       {"volume": 4000, "resource": "crm_db",
                        "destination": "external"})
     assert GATE_STAGING not in satisfied_gates(
-        summarize([stage(70), early_ext, stage(74)], APPROVED), [], 10,
-        staging_min=2)
+        summarize([stage(70), early_ext, stage(74)], APPROVED))
 
 
 def test_login_context_gate():
@@ -291,12 +286,11 @@ def test_login_context_gate():
         Event(75, "u1", ActionKind.DB_QUERY,
               {"resource": "hr_records", "sensitivity": "sensitive"}),
     ]
-    assert GATE_LOGIN_CONTEXT in satisfied_gates(
-        summarize(window, APPROVED), [], 10)
+    assert GATE_LOGIN_CONTEXT in satisfied_gates(summarize(window, APPROVED))
     window[1] = Event(85, "u1", ActionKind.DB_QUERY,
                       {"resource": "hr_records", "sensitivity": "sensitive"})
     assert GATE_LOGIN_CONTEXT not in satisfied_gates(
-        summarize(window, APPROVED), [], 10)
+        summarize(window, APPROVED))
 
 
 def test_excess_evidence_gate_counts_kinds():
@@ -304,9 +298,9 @@ def test_excess_evidence_gate_counts_kinds():
         return Evidence(kind=kind, weight=1.0, step=0)
     four = [ev(EvidenceKind.POLICY_VIOLATION), ev(EvidenceKind.BASELINE_DEVIATION),
             ev(EvidenceKind.ML_ANOMALY), ev(EvidenceKind.PEER_EXPORT_OUTLIER)]
-    empty = summarize([], APPROVED)
-    assert GATE_EXCESS in satisfied_gates(empty, four, 10)
-    assert GATE_EXCESS not in satisfied_gates(empty, four[:3], 10)
+    assert excess_gate(four) == (GATE_EXCESS,)
+    assert excess_gate(four[:3]) == ()
+    assert GATE_EXCESS not in satisfied_gates(summarize([], APPROVED))
 
 
 def test_gate_confirm_logic():
@@ -334,16 +328,16 @@ def test_gate_confirm_logic():
 # -- peer normalization and regularity --------------------------------------
 
 def test_peer_normalize_median_mad_oracle():
-    cfg = DetectorConfig(peer_eps=300.0, peer_z_min=2.5, w_peer=0.5,
-                         peer_cap=1.0, peer_min_group=3)
+    assert (siem.PEER_EPS, siem.PEER_Z_MIN, siem.W_PEER, siem.PEER_CAP,
+            siem.PEER_MIN_GROUP) == (300.0, 2.5, 0.5, 1.0, 3)
     peers = [0.0, 0.0, 100.0, 200.0, 0.0]
     # median 0, mad 0 -> z = v / 300
-    assert peer_normalize(600.0, peers, 0, cfg) is None  # z = 2.0
-    ev = peer_normalize(1200.0, peers, 0, cfg)           # z = 4.0
+    assert peer_normalize(600.0, peers, 0) is None  # z = 2.0
+    ev = peer_normalize(1200.0, peers, 0)           # z = 4.0
     assert ev is not None
     assert ev.weight == 1.0  # 0.5 * 4 capped at 1.0
     assert "z=4.00" in ev.detail
-    assert peer_normalize(10_000.0, peers[:2], 0, cfg) is None  # group too small
+    assert peer_normalize(10_000.0, peers[:2], 0) is None  # group too small
 
 
 def test_regularity_suppression():

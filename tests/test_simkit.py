@@ -6,13 +6,13 @@ import pytest
 
 from sentinel.events import ActionKind, Role, Scenario
 from sentinel.simkit import (COMPLIANCE_POWER_USERS, LEAK_RECIPIENT, ONSET_MAX,
-                             ONSET_MIN, SimConfig, default_config,
-                             expand_scenario, generate_roster,
-                             roster_from_dict, roster_to_dict, run_simulation)
+                             ONSET_MIN, SimConfig, expand_scenario,
+                             generate_roster, roster_from_dict, roster_to_dict,
+                             run_simulation)
 
 
 def test_default_roster_shape():
-    config = default_config()
+    config = SimConfig()
     roster = generate_roster(config, seed=101)
     assert len(roster) == 42
     assert [a.actor_id for a in roster] == [f"u{i:03d}" for i in range(1, 43)]
@@ -31,7 +31,7 @@ def test_default_roster_shape():
 
 def test_roster_serde_round_trip():
     # style floats are rounded to 4 decimals on write; everything else is exact
-    roster = generate_roster(default_config(), seed=7)
+    roster = generate_roster(SimConfig(), seed=7)
     clone = roster_from_dict(roster_to_dict(roster))
     for a, b in zip(roster, clone):
         assert b.style_mean == pytest.approx(a.style_mean, abs=1e-4)
@@ -41,7 +41,7 @@ def test_roster_serde_round_trip():
 
 
 def test_simulation_deterministic_per_seed():
-    config = default_config()
+    config = SimConfig()
     a = run_simulation(config, seed=101)
     b = run_simulation(config, seed=101)
     c = run_simulation(config, seed=102)
@@ -50,7 +50,7 @@ def test_simulation_deterministic_per_seed():
 
 
 def test_events_ordered_and_bounded():
-    config = default_config()
+    config = SimConfig()
     result = run_simulation(config, seed=103)
     steps = [e.step for e in result.events]
     assert steps == sorted(steps)
@@ -60,7 +60,7 @@ def test_events_ordered_and_bounded():
 
 
 def test_truths_match_roster():
-    result = run_simulation(default_config(), seed=104)
+    result = run_simulation(SimConfig(), seed=104)
     by_id = {t.actor_id: t for t in result.truths}
     assert len(by_id) == len(result.roster)
     for actor in result.roster:
@@ -107,7 +107,7 @@ def test_stealth_opening_cycle():
 
 def test_insiders_follow_script_only():
     # insider events during warmup look benign; scripted activity starts at onset
-    result = run_simulation(default_config(), seed=105)
+    result = run_simulation(SimConfig(), seed=105)
     insiders = {a.actor_id: a for a in result.roster if a.malicious}
     for actor_id, actor in insiders.items():
         pre_onset = [e for e in result.events
