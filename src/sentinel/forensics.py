@@ -22,7 +22,12 @@ import numpy as np
 from .rng import Xoshiro256StarStar, substream
 
 MODEL_FORMAT_VERSION = 1
-DEFAULT_VOCAB_CAP = 8000
+FAMILIES = ("multinomial", "linear")   # declaration order breaks accuracy ties
+# Training settings.
+VOCAB_CAP = 8000
+HOLDOUT_FRACTION = 0.15
+MIN_WORDS = 30          # drop shorter messages before training
+NB_ALPHA = 1.0          # multinomial additive smoothing
 
 
 class TrainingError(ValueError):
@@ -166,7 +171,7 @@ def fit_idf(counts: np.ndarray) -> np.ndarray:
 class MultinomialClassifier:
     """Multinomial likelihood with additive smoothing over term counts."""
 
-    def __init__(self, alpha: float = 1.0):
+    def __init__(self, alpha: float = NB_ALPHA):
         self.alpha = alpha
         self.class_log_prior: Optional[np.ndarray] = None
         self.feature_log_prob: Optional[np.ndarray] = None
@@ -243,15 +248,6 @@ class LogisticClassifier:
 # ---------------------------------------------------------------------------
 # Training and the pretrained model artifact
 
-@dataclass(frozen=True)
-class TrainConfig:
-    vocab_cap: int = DEFAULT_VOCAB_CAP
-    holdout_fraction: float = 0.15
-    min_words: int = 30  # drop shorter messages before training
-    seed: int = 7
-    nb_alpha: float = 1.0
-
-
 @dataclass
 class PretrainedModel:
     vocabulary: dict[str, int]
@@ -291,42 +287,40 @@ def _stratified_split(
 
 
 def train_classifier(
-    corpus: Sequence[tuple[str, str]], config: TrainConfig = TrainConfig()
+    corpus: Sequence[tuple[str, str]], seed: int = 7
 ) -> PretrainedModel:
     """Train both classifier families on a labeled (text, "spam"|"ham") corpus
-    and select the one with the better hold-out accuracy.
+    and select the one with the better hold-out accuracy; ``seed`` picks the
+    hold-out split.
 
     The style baseline is estimated from the ham portion.
     """
     if not corpus:
         raise TrainingError("empty corpus")
-    kept = [(t, l) for t, l in corpus if len(_flat_tokens(t)) > config.min_words]
+    kept = [(t, l) for t, l in corpus if len(_flat_tokens(t)) > MIN_WORDS]
     if not kept:
-        raise TrainingError(
-            f"no messages above the {config.min_words}-word minimum"
-        )
+        raise TrainingError(f"no messages above the {MIN_WORDS}-word minimum")
     labels = [1 if l == "spam" else 0 for _, l in kept]
     if len(set(labels)) < 2:
         raise TrainingError("corpus must contain both spam and ham")
 
     texts = [t for t, _ in kept]
     y = np.array(labels)
-    train_idx, test_idx = _stratified_split(labels, config.holdout_fraction, config.seed)
+    train_idx, test_idx = _stratified_split(labels, HOLDOUT_FRACTION, seed)
 
-    vocab = build_vocabulary([_flat_tokens(texts[i]) for i in train_idx], config.vocab_cap)
+    vocab = build_vocabulary([_flat_tokens(texts[i]) for i in train_idx], VOCAB_CAP)
     counts = count_matrix(texts, vocab)
     idf = fit_idf(counts[train_idx])
     tfidf = tfidf_matrix(counts, idf)
 
-    nb = MultinomialClassifier(alpha=config.nb_alpha).fit(counts[train_idx], y[train_idx])
+    nb = MultinomialClassifier().fit(counts[train_idx], y[train_idx])
     lin = LogisticClassifier().fit(tfidf[train_idx], y[train_idx])
 
     acc = {
         "multinomial": float(np.mean((nb.predict_proba(counts[test_idx]) >= 0.5) == y[test_idx])),
         "linear": float(np.mean((lin.predict_proba(tfidf[test_idx]) >= 0.5) == y[test_idx])),
     }
-    # argmax with a deterministic tie-break (family declaration order)
-    selected = max(("multinomial", "linear"), key=lambda f: acc[f])
+    selected = max(FAMILIES, key=lambda f: acc[f])
 
     ham_sentences = [tokenize(texts[i]) for i in train_idx if y[i] == 0]
     per_doc_len = [np.mean(sentence_lengths(s)) for s in ham_sentences if s]
@@ -377,7 +371,7 @@ def load_model(payload: bytes) -> PretrainedModel:
             f"(this build reads version {MODEL_FORMAT_VERSION})"
         )
     try:
-        return PretrainedModel(
+        model = PretrainedModel(
             vocabulary=doc["vocabulary"],
             idf=np.array(doc["idf"]),
             families=doc["families"],
@@ -385,8 +379,36 @@ def load_model(payload: bytes) -> PretrainedModel:
             selected_family=doc["selected_family"],
             baseline=StyleBaseline(**doc["baseline"]),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ModelFormatError(f"incomplete model payload: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model payload: {exc}") from exc
+    # Everything phishing_prob reads: a vocabulary that maps terms onto
+    # columns, the family it names, and finite parameters of the shapes that
+    # vocabulary plus the two keyword columns gives.
+    vocab = model.vocabulary
+    if not (isinstance(vocab, dict) and all(
+            type(j) is int and 0 <= j < len(vocab) for j in vocab.values())):
+        raise ModelFormatError(
+            "malformed model payload: vocabulary must map each term to a "
+            "column 0..n-1")
+    n = len(vocab) + 2
+    if model.selected_family not in FAMILIES:
+        raise ModelFormatError(
+            f"malformed model payload: unknown selected_family "
+            f"{model.selected_family!r}")
+    nb, lin = model._clfs["multinomial"], model._clfs["linear"]
+    for name, array, shape in (
+            ("idf", model.idf, (n,)),
+            ("class_log_prior", nb.class_log_prior, (2,)),
+            ("feature_log_prob", nb.feature_log_prob, (2, n)),
+            ("weights", lin.weights, (n + 1,))):
+        if not (array.shape == shape and array.dtype.kind in "fi"
+                and np.isfinite(array).all()):
+            raise ModelFormatError(
+                f"malformed model payload: {name} must hold {shape} finite "
+                f"numbers for {n - 2} vocabulary terms")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +482,14 @@ _LEAK_URGENT_SENTENCES = (
 
 
 def compose_body(
-    rng: Xoshiro256StarStar, mean_len: float, sd: float,
-    n_sentences: int, vocabulary: Sequence[str] = BENIGN_WORDS,
+    rng: Xoshiro256StarStar, mean_len: float, sd: float, n_sentences: int,
 ) -> str:
-    """Template-free benign prose: sentences of seeded length around mean_len."""
+    """Template-free benign prose from ``BENIGN_WORDS``: sentences of seeded
+    length around mean_len."""
     sentences = []
     for _ in range(n_sentences):
         length = max(3, int(round(mean_len + sd * rng.gauss())))
-        words = [rng.choice(vocabulary) for _ in range(length)]
+        words = [rng.choice(BENIGN_WORDS) for _ in range(length)]
         sentences.append(" ".join(words).capitalize() + ".")
     return " ".join(sentences)
 

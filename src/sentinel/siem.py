@@ -559,21 +559,15 @@ class SiemEngine:
 
         top_phish = {pt: max(probs[pt] for _, probs in state.phishing)
                      for pt in self._phish_kinds} if state.phishing else {}
-        # ToM evidence by gating: gating variants check contradictions first.
+        # ToM evidence by gating: gating variants drop contradicted ones.
         intent = {}
         if self.variant.forensics and state.window:
             hyps = tom.abduce(list(state.window), self.library,
-                              approved_domains=self.rules.approved_email_domains)
+                              self.rules.approved_email_domains)
             for gating in self._tom_kinds:
-                checked = hyps
-                if gating:
-                    context = tom.ActorContext(
-                        compliance_approval=state.spec.compliance,
-                        benign_hypotheses=tuple(h for h in hyps
-                                                if not h.malicious))
-                    checked = [tom.check_contradiction(h, context)
-                               for h in hyps]
-                intent[gating] = tom.tom_evidence(checked, step)
+                live = [h for h in hyps if not tom.check_contradiction(
+                    h, hyps, state.spec.compliance)] if gating else hyps
+                intent[gating] = tom.tom_evidence(live, step)
         peer = []
         if self.variant.gating:
             peers = [v for other, v in role_volumes.items() if other != actor_id]

@@ -12,62 +12,64 @@ covering the matched actions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
 from .events import ActionKind, Event, Evidence, EvidenceKind
 
+TAU = 0.5              # minimum confidence before ToM emits evidence
+WEIGHT = 4.1           # evidence weight per unit confidence
+# Specificity multipliers: how much matching an element says about intent.
+SPEC_SENSITIVE = 2.0
+SPEC_EXTERNAL = 2.0
+SPEC_LOGIN = 0.5
+SPEC_UNAPPROVED = 2.5
 
-@dataclass(frozen=True)
-class TomConfig:
-    tau: float = 0.5           # minimum confidence before ToM emits evidence
-    weight: float = 4.1        # evidence weight per unit confidence
-    spec_sensitive: float = 2.0
-    spec_external: float = 2.0
-    spec_login: float = 0.5
-    spec_unapproved: float = 2.5
+# One template as matching reads it: (plan, malicious,
+# ((kind, element, specificity), ...), total specificity).
+CompiledTemplate = tuple[str, bool, tuple[tuple[ActionKind, dict, float], ...],
+                         float]
 
 
 @dataclass(frozen=True)
 class IntentHypothesis:
-    actor_id: str
     plan: str                  # scenario name or benign template id
     malicious: bool
     completion: float
     confidence: float
-    contradicted: bool = False
-    matched_kinds: frozenset[ActionKind] = frozenset()
+    matched_kinds: frozenset[ActionKind]
+
+
+def _specificity(element: dict) -> float:
+    w = 1.0
+    if element.get("sensitivity") == "sensitive":
+        w *= SPEC_SENSITIVE
+    if element.get("destination") == "external" or element.get("recipient_domain") == "external":
+        w *= SPEC_EXTERNAL
+    if element.get("unapproved_recipient"):
+        w *= SPEC_UNAPPROVED
+    if element["kind"] == "login":
+        w *= SPEC_LOGIN
+    return w
+
+
+def _compile(plan: str, malicious: bool,
+             template: list[dict]) -> CompiledTemplate:
+    elements = tuple((ActionKind(e["kind"]), e, _specificity(e))
+                     for e in template)
+    return plan, malicious, elements, sum(w for _, _, w in elements)
 
 
 class PlanLibrary:
-    """Ordered action templates, one per scenario, plus benign explanations."""
+    """Ordered action templates, one per scenario, plus benign explanations,
+    compiled once at load: malicious plans first, each in file order."""
 
     def __init__(self, doc: dict):
-        self.malicious: dict[str, list[dict]] = doc["malicious"]
-        self.benign: dict[str, list[dict]] = doc["benign"]
-        # Kind lookups and specificity sums are hot inside the per-step match
-        # loop, so pre-resolve them once per template.
-        self._compiled: dict[int, list[tuple[ActionKind, dict]]] = {}
-        self._weights: dict[tuple[int, TomConfig], tuple[tuple[float, ...], float]] = {}
-        for templates in (self.malicious, self.benign):
-            for template in templates.values():
-                self._compiled[id(template)] = [
-                    (ActionKind(e["kind"]), e) for e in template
-                ]
-
-    def compiled(self, template: list[dict]) -> list[tuple[ActionKind, dict]]:
-        return self._compiled[id(template)]
-
-    def weights(self, template: list[dict],
-                config: TomConfig) -> tuple[tuple[float, ...], float]:
-        key = (id(template), config)
-        out = self._weights.get(key)
-        if out is None:
-            per = tuple(_specificity(e, config) for e in template)
-            out = (per, sum(per))
-            self._weights[key] = out
-        return out
+        self.templates: tuple[CompiledTemplate, ...] = tuple(
+            _compile(plan, malicious, template)
+            for malicious, key in ((True, "malicious"), (False, "benign"))
+            for plan, template in doc[key].items())
 
     @classmethod
     def bundled(cls) -> "PlanLibrary":
@@ -75,9 +77,8 @@ class PlanLibrary:
         return cls(json.loads(text))
 
 
-def _element_matches(
-    element: dict, event: Event, approved_domains: frozenset[str]
-) -> bool:
+def _element_matches(element: dict, event: Event,
+                     approved_domains: frozenset[str]) -> bool:
     p = event.payload
     for key in ("sensitivity", "destination", "context", "recipient_domain"):
         if key in element and p.get(key) != element[key]:
@@ -93,117 +94,72 @@ def _element_matches(
     return True
 
 
-def _specificity(element: dict, config: TomConfig) -> float:
-    w = 1.0
-    if element.get("sensitivity") == "sensitive":
-        w *= config.spec_sensitive
-    if element.get("destination") == "external" or element.get("recipient_domain") == "external":
-        w *= config.spec_external
-    if element.get("unapproved_recipient"):
-        w *= config.spec_unapproved
-    if element["kind"] == "login":
-        w *= config.spec_login
-    return w
-
-
 def _match_template(
-    window: Sequence[Event], template: list[dict],
-    approved_domains: frozenset[str], config: TomConfig,
-    library: PlanLibrary,
+    window: Sequence[Event], template: CompiledTemplate,
+    approved_domains: frozenset[str],
 ) -> tuple[float, float, frozenset[ActionKind]]:
-    """Greedy subsequence match of the window against the template prefix.
-
-    ``template`` must be one of ``library``'s templates. Returns
-    (completion, confidence, matched kinds).
-    """
-    compiled = library.compiled(template)
-    weights, total_weight = library.weights(template, config)
+    """Greedy subsequence match of the window against the template prefix:
+    (completion, confidence, matched kinds)."""
+    _, _, elements, total_weight = template
     idx = 0
     matched_weight = 0.0
     kinds: set[ActionKind] = set()
-    want_kind, want_element = compiled[0]
+    want_kind, want_element, weight = elements[0]
     for event in window:
         if event.kind is want_kind and _element_matches(
                 want_element, event, approved_domains):
-            matched_weight += weights[idx]
+            matched_weight += weight
             kinds.add(event.kind)
             idx += 1
-            if idx >= len(compiled):
+            if idx >= len(elements):
                 break
-            want_kind, want_element = compiled[idx]
-    completion = idx / len(template)
+            want_kind, want_element, weight = elements[idx]
+    completion = idx / len(elements)
     confidence = matched_weight / total_weight if total_weight else 0.0
     return completion, confidence, frozenset(kinds)
 
 
-def abduce(
-    window: Sequence[Event], library: PlanLibrary,
-    config: TomConfig = TomConfig(),
-    approved_domains: frozenset[str] = frozenset(),
-) -> list[IntentHypothesis]:
+def abduce(window: Sequence[Event], library: PlanLibrary,
+           approved_domains: frozenset[str]) -> list[IntentHypothesis]:
     """Intent hypotheses for one actor's recent window (completion 0 omitted)."""
-    if not window:
-        return []
-    actor_id = window[0].actor_id
     hypotheses = []
-    for malicious, templates in ((True, library.malicious), (False, library.benign)):
-        for plan, template in templates.items():
-            completion, confidence, kinds = _match_template(
-                window, template, approved_domains, config, library
-            )
-            if completion > 0.0:
-                hypotheses.append(IntentHypothesis(
-                    actor_id=actor_id, plan=plan, malicious=malicious,
-                    completion=completion, confidence=confidence,
-                    matched_kinds=kinds,
-                ))
+    for template in library.templates:
+        completion, confidence, kinds = _match_template(
+            window, template, approved_domains)
+        if completion > 0.0:
+            hypotheses.append(IntentHypothesis(
+                template[0], template[1], completion, confidence, kinds))
     return hypotheses
 
 
 # Action kinds a compliance approval covers; logins are never covered.
-APPROVAL_SCOPE = frozenset({
-    ActionKind.DB_QUERY, ActionKind.FILE_ACCESS,
-    ActionKind.FILE_EXPORT, ActionKind.EMAIL_SEND,
-})
+APPROVAL_SCOPE = frozenset({ActionKind.DB_QUERY, ActionKind.FILE_ACCESS,
+                            ActionKind.FILE_EXPORT, ActionKind.EMAIL_SEND})
 
 
-@dataclass(frozen=True)
-class ActorContext:
-    """What contradiction checking knows about the actor beyond the window."""
-    compliance_approval: bool = False
-    benign_hypotheses: tuple[IntentHypothesis, ...] = ()
+def check_contradiction(h: IntentHypothesis,
+                        hypotheses: Sequence[IntentHypothesis],
+                        compliance_approval: bool) -> bool:
+    """Whether a malicious hypothesis is contradicted: a benign hypothesis
+    among ``hypotheses`` covers the window at >= its completion, or a
+    compliance approval covers the matched actions."""
+    if not h.malicious:
+        return False
+    if any(not b.malicious and b.completion >= h.completion
+           for b in hypotheses):
+        return True
+    return compliance_approval and h.matched_kinds <= APPROVAL_SCOPE
 
 
-def check_contradiction(
-    h: IntentHypothesis, context: ActorContext
-) -> IntentHypothesis:
-    """Mark a malicious hypothesis contradicted when a benign explanation
-    covers the window at >= its completion, or a compliance approval covers
-    the matched actions."""
-    if not h.malicious or h.contradicted:
-        return h
-    for b in context.benign_hypotheses:
-        if not b.malicious and b.completion >= h.completion:
-            return replace(h, contradicted=True)
-    if context.compliance_approval and h.matched_kinds <= APPROVAL_SCOPE:
-        return replace(h, contradicted=True)
-    return h
-
-
-def tom_evidence(
-    hypotheses: Sequence[IntentHypothesis], step: int,
-    config: TomConfig = TomConfig(),
-) -> Optional[Evidence]:
-    """Weighted intent evidence from the strongest live malicious hypothesis."""
-    live = [h for h in hypotheses if h.malicious and not h.contradicted]
-    if not live:
+def tom_evidence(hypotheses: Sequence[IntentHypothesis],
+                 step: int) -> Optional[Evidence]:
+    """Weighted intent evidence from the strongest malicious hypothesis;
+    callers drop contradicted ones first."""
+    malicious = [h for h in hypotheses if h.malicious]
+    if not malicious:
         return None
-    best = max(live, key=lambda h: (h.confidence, h.plan))
-    if best.confidence < config.tau or best.confidence <= 0.0:
+    best = max(malicious, key=lambda h: (h.confidence, h.plan))
+    if best.confidence < TAU or best.confidence <= 0.0:
         return None
-    return Evidence(
-        kind=EvidenceKind.TOM_INTENT,
-        weight=config.weight * best.confidence,
-        step=step,
-        detail=best.plan,
-    )
+    return Evidence(kind=EvidenceKind.TOM_INTENT, step=step,
+                    weight=WEIGHT * best.confidence, detail=best.plan)

@@ -7,8 +7,10 @@ optimised: ``test_engine_differential`` runs it beside ``sentinel.siem`` and
 requires byte-identical alert logs. The only edit is that the engine calls
 the copied anomaly functions directly instead of through ``anomaly.``.
 
-From ``sentinel`` it imports only the event and alert types, the RNG, the
-actor roster type, and the ToM and forensics layers.
+From ``sentinel`` it imports only the event and alert types, the RNG and the
+actor roster type; its ToM and keyword-scoring layers are the frozen copies
+in ``oracle_layers``, which passes ``sentinel.forensics.PretrainedModel``
+through.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
-from sentinel import forensics, tom
+import oracle_layers as forensics, oracle_layers as tom
 from sentinel.events import (ActionKind, Alert, Event, Evidence, EvidenceKind,
                              Role)
 from sentinel.rng import substream

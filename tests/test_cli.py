@@ -1,9 +1,11 @@
 """End-to-end CLI runs in temporary directories."""
 
+import copy
 import json
 
 import pytest
 
+from sentinel import forensics
 from sentinel.cli import main
 from sentinel.events import parse_event_log
 
@@ -141,14 +143,25 @@ def test_detect_hostile_sidecar_exits_2(simulated, tmp_path, capsys, corrupt,
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
-@pytest.mark.parametrize("payload, named", [
-    (DEEP, "corrupt model payload"),
-    (b"[1]", "unsupported model format"),
-], ids=["deep_nesting", "json_list"])
-def test_detect_hostile_model_exits_2(simulated, tmp_path, capsys, payload,
-                                      named):
+@pytest.fixture(scope="module")
+def model_doc():
+    corpus = forensics.generate_synthetic_corpus(7, 100, 30)
+    return json.loads(forensics.save_model(forensics.train_classifier(corpus)))
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda d: DEEP, "corrupt model payload"),
+    (lambda d: b"[1]", "unsupported model format"),
+    (lambda d: d.update(vocabulary=sorted(d["vocabulary"])), "vocabulary"),
+    (lambda d: d.update(selected_family="nope"), "selected_family 'nope'"),
+], ids=["deep_nesting", "json_list", "list_vocabulary", "unknown_family"])
+def test_detect_hostile_model_exits_2(simulated, tmp_path, capsys, model_doc,
+                                      corrupt, named):
+    doc = copy.deepcopy(model_doc)
+    payload = corrupt(doc)
     model = tmp_path / "hostile_model.json"
-    model.write_bytes(payload)
+    model.write_bytes(payload if isinstance(payload, bytes)
+                      else json.dumps(doc).encode())
     assert main(["detect", str(simulated / "events.jsonl"), "--variant",
                  "eg-pt", "--model", str(model),
                  "--out", str(tmp_path / "det")]) == 2

@@ -7,11 +7,20 @@ write byte-identical alert logs; the engine runs all twelve cells in one
 shared feature pass, the reference one cell at a time. The golden digests
 pin simulator-shaped logs; these logs pin the edges a rewrite is likely to
 break: events leaving the window at its first and last step, several events
-per actor in one step, export volumes on the large-export line and tied,
-both suspicious login contexts in one step, approved, denied and unapproved
-recipients, role peers for peer normalisation, a compliance power user, and
-a staged exfiltration chain that opens the gates and the intent layer.
+per actor in one step, export volumes on the large-export line, on both
+sides of the plan library's volume limits (500 and 3600) and tied, both
+suspicious login contexts in one step, approved, denied and unapproved
+recipients, role peers for peer normalisation, a compliance power user, a
+staged exfiltration chain that opens the gates and the intent layer, and
+mail bodies on the keyword scorer's edges: repeated keywords, phrases split
+by runs of whitespace or a newline, apostrophes, and punctuation inside a
+phrase. The keyword phishing score is also compared with the frozen scorer
+on generated text, and a guard fails if the reference starts to import the
+live ToM, engine or anomaly layers.
 """
+
+import ast
+from pathlib import Path
 
 import oracle_engine
 import pytest
@@ -38,7 +47,11 @@ RECIPIENTS = ("partnercorp.example",   # approved partner
               "corp.example")
 BODIES = ("quarterly budget review notes",
           "urgent: verify your password immediately, account suspended",
-          "click here to confirm now, wire transfer overdue")
+          "click here to confirm now, wire transfer overdue",
+          "urgent URGENT urgent: password password; penalty penalty",
+          "please  wire   transfer the\nsalary, click\n\nhere\tright away",
+          "don't share the patient's password; it's the payroll's trade secret",
+          "verify, your account: wire-transfer. click.here act-now final, notice")
 
 
 def _payload(kind):
@@ -52,7 +65,8 @@ def _payload(kind):
             "sensitivity": st.sampled_from(["normal", "sensitive"])})
     if kind is ActionKind.FILE_EXPORT:
         return st.fixed_dictionaries({
-            "volume": st.sampled_from([0, 300, 999, 1000, 1000, 4000, 10_000])
+            "volume": st.sampled_from([0, 300, 500, 501, 999, 1000, 1000,
+                                      3599, 3600, 4000, 10_000])
             | st.integers(0, 6000),
             "resource": st.sampled_from(["crm_db", "shared_drive"]),
             "destination": st.sampled_from(["internal", "external",
@@ -70,9 +84,10 @@ def _event(draw, step, actor=None):
                  draw(_payload(kind)))
 
 
-def _chain(actor, t, staged, volume, resource, recipient):
-    """Sensitive read, `staged` staging exports, a large external export and
-    mail to an unapproved or denied domain, one step apart."""
+def _chain(actor, t, staged, volume, resource, recipient, out_volume):
+    """Sensitive read, `staged` staging exports, an external export of
+    `out_volume` and mail to an unapproved or denied domain, one step
+    apart."""
     def export(step, destination, v):
         return Event(step, actor, ActionKind.FILE_EXPORT,
                      {"volume": v, "resource": "crm_db",
@@ -81,7 +96,7 @@ def _chain(actor, t, staged, volume, resource, recipient):
     return ([Event(t, actor, ActionKind.DB_QUERY,
                    {"resource": resource, "sensitivity": "sensitive"})]
             + [export(t + i, "staging", volume) for i in range(1, staged + 1)]
-            + [export(out, "external", 4000),
+            + [export(out, "external", out_volume),
                Event(out + 1, actor, ActionKind.EMAIL_SEND,
                      {"recipient_domain": "external", "recipient": recipient,
                       "body": BODIES[0]})])
@@ -111,14 +126,15 @@ def logs(draw):
                      draw(st.integers(0, total - 6)), draw(st.integers(0, 3)),
                      draw(st.sampled_from([999, 1000])),
                      draw(st.sampled_from(["crm_db", "customer_master"])),
-                     draw(st.sampled_from(RECIPIENTS[1:3])))
+                     draw(st.sampled_from(RECIPIENTS[1:3])),
+                     draw(st.sampled_from([3599, 3600, 4000])))
     # Routine internal exports give role peers non-zero peer volumes.
     events += [Event(step, actor, ActionKind.FILE_EXPORT,
                      {"volume": volume, "resource": "shared_drive",
                       "destination": "internal"})
                for step, actor, volume in draw(st.lists(st.tuples(
                    st.integers(0, total - 1), st.sampled_from(ACTORS[:4]),
-                   st.sampled_from([250, 400, 999])), max_size=16))]
+                   st.sampled_from([250, 400, 500, 501, 999])), max_size=16))]
     tied = draw(st.integers(0, total - 1))
     events += [Event(tied, a, ActionKind.FILE_EXPORT,
                      {"volume": 1000, "resource": "crm_db",
@@ -150,3 +166,86 @@ def test_engine_matches_frozen_reference(model, log):
             total, warmup, model=model if name == "eg-pt" else None)
         assert serialize_alert_log(alerts) == \
             serialize_alert_log(expected), (name, theta)
+
+
+_WORDS = (forensics.SENSITIVE_KEYWORDS + forensics.URGENT_KEYWORDS
+          + ("budget", "review", "it's", "x"))
+
+
+@given(parts=st.lists(st.tuples(
+    st.sampled_from(_WORDS).flatmap(lambda w: st.sampled_from(
+        [w, w.upper(), w.replace(" ", "  "), w.replace(" ", "\n"),
+         w.replace(" ", ", "), w + "'s"])),
+    st.sampled_from([" ", "  ", "\n", ". ", ", ", "-", "! ", "'"])),
+    max_size=40))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_keyword_score_matches_frozen_reference(parts):
+    body = "".join(word + sep for word, sep in parts)
+    assert forensics.keyword_phishing_score(body) == \
+        oracle_engine.forensics.keyword_phishing_score(body)
+
+
+# -- the reference stays frozen ---------------------------------------------
+
+LIVE_LAYERS = ("sentinel.tom", "sentinel.siem", "sentinel.anomaly")
+
+
+def _sentinel_uses(source):
+    """(module, name) for each name a file takes from a ``sentinel`` module,
+    by import or as an attribute of an imported module; name "" for the
+    import of a whole module and "*" when it is passed on as it is."""
+    tree = ast.parse(source)
+    modules, uses, bases = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sentinel":
+                    uses.add((alias.name, "" if alias.asname else "*"))
+                    if alias.asname:
+                        modules[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "sentinel":
+            for alias in node.names:
+                if node.module == "sentinel":
+                    module = f"sentinel.{alias.name}"
+                    modules[alias.asname or alias.name] = module
+                    uses.add((module, ""))
+                else:
+                    uses.add((node.module, alias.name))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name):
+            bases.add(id(node.value))
+            if node.value.id in modules:
+                uses.add((modules[node.value.id], node.attr))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in modules and \
+                id(node) not in bases:
+            uses.add((modules[node.id], "*"))
+    return uses
+
+
+def _breaks_freeze(uses):
+    return sorted(
+        (module, name) for module, name in uses
+        if module in LIVE_LAYERS or (module == "sentinel.forensics"
+                                     and name not in ("", "PretrainedModel")))
+
+
+@pytest.mark.parametrize("name", ["oracle_engine.py", "oracle_layers.py"])
+def test_frozen_reference_uses_no_live_layer(name):
+    source = (Path(__file__).parent / name).read_text("utf-8")
+    assert _breaks_freeze(_sentinel_uses(source)) == []
+
+
+def test_freeze_guard_flags_each_way_in():
+    for source, bad in [
+            ("from sentinel import forensics, tom\nforensics.tokenize",
+             [("sentinel.forensics", "tokenize"), ("sentinel.tom", "")]),
+            ("import sentinel.siem", [("sentinel.siem", "*")]),
+            ("from sentinel.anomaly import IsoForest",
+             [("sentinel.anomaly", "IsoForest")]),
+            ("import sentinel.forensics as f\nrun(f)",
+             [("sentinel.forensics", "*")]),
+            ("from sentinel.forensics import PretrainedModel, load_model",
+             [("sentinel.forensics", "load_model")])]:
+        assert _breaks_freeze(_sentinel_uses(source)) == bad, source

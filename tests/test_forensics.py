@@ -1,13 +1,16 @@
 """Email forensics: tokenization, keyword scoring, classifiers, model serde."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinel.forensics import (SENSITIVE_KEYWORDS, URGENT_KEYWORDS,
                                 ModelFormatError, MultinomialClassifier,
-                                TrainConfig, TrainingError, build_vocabulary,
+                                TrainingError, build_vocabulary,
                                 count_keyword_hits, generate_leak_body,
                                 generate_synthetic_corpus,
                                 keyword_phishing_score, lexical_richness,
@@ -100,13 +103,62 @@ def test_train_classifier_validation():
 
 def test_train_and_round_trip_model():
     corpus = generate_synthetic_corpus(seed=21, n_ham=120, n_spam=40)
-    model = train_classifier(corpus, TrainConfig(seed=21))
+    model = train_classifier(corpus, seed=21)
     assert model.selected_family in model.families
     assert model.accuracies[model.selected_family] >= 0.9
     clone = load_model(save_model(model))
     for body, _ in corpus[:10]:
         assert clone.phishing_prob(body) == pytest.approx(model.phishing_prob(body))
     assert clone.selected_family == model.selected_family
+
+
+# A valid model document small enough to mutate, and bodies that hit its
+# vocabulary, both keyword lists, and nothing at all.
+_MODEL_DOC = save_model(train_classifier(
+    generate_synthetic_corpus(seed=5, n_ham=100, n_spam=30)))
+_BODIES = ("urgent notice: verify your password and wire transfer now.",
+           "Quarterly budget review draft for the project team.", "")
+_HOSTILE = st.sampled_from([None, True, "x", "linear", -1, 0, 1.5, 10**400,
+                            float("nan"), float("inf"), [], [1.0], {},
+                            {"a": 1}])
+
+
+@st.composite
+def _mutated_model(draw):
+    """The model document with one value replaced, deleted or appended to,
+    at a path picked from the root down."""
+    doc = json.loads(_MODEL_DOC)
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return json.dumps(draw(_HOSTILE)).encode()
+    action = draw(st.sampled_from(["replace", "delete", "append"]))
+    if action == "replace":
+        parent[key] = draw(_HOSTILE)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(node, list):
+        node.append(draw(_HOSTILE))
+    elif isinstance(node, dict):
+        node[draw(st.sampled_from(["a", "linear", "idf"]))] = draw(_HOSTILE)
+    return json.dumps(doc).encode()
+
+
+@given(payload=_mutated_model())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_model_is_rejected_or_scores_in_unit_interval(payload):
+    try:
+        model = load_model(payload)
+    except ModelFormatError:
+        return
+    for body in _BODIES:
+        p = model.phishing_prob(body)
+        assert isinstance(p, float) and 0.0 <= p <= 1.0
 
 
 def test_load_model_rejects_bad_payloads():
@@ -131,7 +183,7 @@ def test_leak_bodies_separate_on_keyword_heuristic():
 
 def test_trained_model_catches_sparse_leaks():
     corpus = generate_synthetic_corpus(seed=21, n_ham=400, n_spam=100)
-    model = train_classifier(corpus, TrainConfig(seed=21))
+    model = train_classifier(corpus, seed=21)
     rng = substream(78, "leak-model")
     flagged = sum(model.phishing_prob(generate_leak_body(rng)) >= 0.7
                   for _ in range(100))
