@@ -121,7 +121,8 @@ def _read_sidecar(path: Path, events) -> simkit.SimResult:
 
     ValueError unless the sidecar is an object whose actor lists name the
     same actors, each once, with bool `malicious` and `compliance` flags,
-    an int seed (default 101) and int steps 0 <= warmup_steps < total_steps.
+    an int `first_malicious_step` for each malicious actor, an int seed
+    (default 101) and int steps 0 <= warmup_steps < total_steps.
     """
     try:
         doc = json.loads(path.read_text("utf-8"))
@@ -154,6 +155,10 @@ def _read_sidecar(path: Path, events) -> simkit.SimResult:
     if not all(isinstance(f, bool) for f in flags):
         raise ValueError("truth sidecar 'malicious' and 'compliance' flags "
                          "must be booleans")
+    onsets = [t.first_malicious_step for t in truths if t.malicious]
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in onsets):
+        raise ValueError("truth sidecar needs an int first_malicious_step "
+                         "for each malicious actor")
     warmup, total, seed = ints
     return simkit.SimResult(tuple(events), truths, roster, seed, total, warmup)
 

@@ -103,9 +103,11 @@ def validate_payload(kind: ActionKind, payload: dict) -> None:
     if kind is ActionKind.FILE_EXPORT:
         if payload["destination"] not in _DESTINATIONS:
             raise ValueError(f"unknown destination {payload['destination']!r}")
-        # type(), not isinstance(): a bool is an int but not a volume.
-        if type(payload["volume"]) is not int or payload["volume"] < 0:
-            raise ValueError(f"export volume must be a non-negative int")
+        # type(), not isinstance(): a bool is an int but not a volume. The
+        # engine sums volumes as floats, which hold every int below 2**53.
+        if type(payload["volume"]) is not int \
+                or not 0 <= payload["volume"] < 2 ** 53:
+            raise ValueError("export volume must be an int in [0, 2**53)")
     if kind is ActionKind.EMAIL_SEND:
         if payload["recipient_domain"] not in _DOMAINS:
             raise ValueError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -84,21 +85,32 @@ def lexical_richness(sentences: list[list[str]]) -> float:
     return len(set(tokens)) / len(tokens)
 
 
+def _flat_tokens(text: str) -> list[str]:
+    """tokenize()'s tokens in order, without the sentences: no token holds
+    a sentence break, so one scan of the lowercased text finds them all."""
+    return _TOKEN.findall(text.lower())
+
+
+def _scan(text: str) -> tuple[Counter, str]:
+    """Token counts and whitespace-normalized lowercase text, from one
+    tokenisation: all that keyword matching reads."""
+    lower = text.lower()
+    return Counter(_TOKEN.findall(lower)), " ".join(lower.split())
+
+
+def _hits(scan: tuple[Counter, str], keywords: Sequence[str]) -> int:
+    tokens, low = scan
+    return sum([low.count(kw) if " " in kw else tokens.get(kw, 0)
+                for kw in keywords])
+
+
 def count_keyword_hits(text: str, keywords: Sequence[str]) -> int:
     """Occurrences of each keyword/phrase in the lowercased text.
 
     Single words match on token boundaries; multi-word phrases match as
     whitespace-normalized substrings.
     """
-    low = " ".join(text.lower().split())
-    tokens = [t for s in tokenize(text) for t in s]
-    hits = 0
-    for kw in keywords:
-        if " " in kw:
-            hits += low.count(kw)
-        else:
-            hits += sum(1 for t in tokens if t == kw)
-    return hits
+    return _hits(_scan(text), keywords)
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +144,18 @@ def build_vocabulary(token_docs: Sequence[list[str]], cap: int) -> dict[str, int
     return {term: i for i, term in enumerate(sorted(t for t, _ in ranked))}
 
 
-def _flat_tokens(text: str) -> list[str]:
-    return [t for s in tokenize(text) for t in s]
-
-
 def count_matrix(texts: Sequence[str], vocab: dict[str, int]) -> np.ndarray:
     """Raw term counts over the vocabulary plus two appended keyword features
     (sensitive-hit count, urgency-hit count)."""
     X = np.zeros((len(texts), len(vocab) + 2))
     for i, text in enumerate(texts):
-        for t in _flat_tokens(text):
+        scan = _scan(text)
+        for t, n in scan[0].items():
             j = vocab.get(t)
             if j is not None:
-                X[i, j] += 1.0
-        X[i, len(vocab)] = count_keyword_hits(text, SENSITIVE_KEYWORDS)
-        X[i, len(vocab) + 1] = count_keyword_hits(text, URGENT_KEYWORDS)
+                X[i, j] += n
+        X[i, len(vocab)] = _hits(scan, SENSITIVE_KEYWORDS)
+        X[i, len(vocab) + 1] = _hits(scan, URGENT_KEYWORDS)
     return X
 
 
@@ -416,8 +425,8 @@ def load_model(payload: bytes) -> PretrainedModel:
 
 def keyword_phishing_score(body: str) -> float:
     """Keyword-only phishing heuristic used when no pretrained model is loaded."""
-    s = count_keyword_hits(body, SENSITIVE_KEYWORDS)
-    u = count_keyword_hits(body, URGENT_KEYWORDS)
+    scan = _scan(body)
+    s, u = _hits(scan, SENSITIVE_KEYWORDS), _hits(scan, URGENT_KEYWORDS)
     return min(1.0, 0.18 * s + 0.22 * u)
 
 

@@ -51,6 +51,9 @@ class VariantConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
+        if not math.isfinite(self.theta_base):
+            raise ValueError(f"theta_base must be a finite number, got "
+                             f"{self.theta_base!r}")
 
     @property
     def forensics(self) -> bool:
@@ -415,6 +418,11 @@ class _ActorState:
     ewma: dict = field(default_factory=dict)
     policy_cache: deque = field(default_factory=deque)   # (step, rule ids)
     phishing: deque = field(default_factory=deque)   # (step, {pretrained: p})
+    # The window's events that match some plan element, their element masks,
+    # and the hypotheses abduced from them (None once either deque changes).
+    tom: deque = field(default_factory=deque)
+    tom_masks: deque = field(default_factory=deque)
+    hypotheses: Optional[list] = None
 
 
 @dataclass
@@ -486,6 +494,12 @@ class SiemEngine:
         hits = self.rules.rule_hits(event, state.spec.role)
         if hits:
             state.policy_cache.append((event.step, hits))
+        mask = self.variant.forensics and self.library.mask(
+            event, self.rules.approved_email_domains)
+        if mask:
+            state.tom.append(event)
+            state.tom_masks.append(mask)
+            state.hypotheses = None
         if self.variant.forensics and event.kind is ActionKind.EMAIL_SEND:
             body = event.payload["body"]
             state.phishing.append((event.step, {
@@ -501,6 +515,10 @@ class SiemEngine:
             state.policy_cache.popleft()
         while state.phishing and state.phishing[0][0] <= horizon:
             state.phishing.popleft()
+        while state.tom and state.tom[0].step <= horizon:
+            state.tom.popleft()
+            state.tom_masks.popleft()
+            state.hypotheses = None
 
     def _metric_eps(self, metric: str, mean: float) -> float:
         """Variance floor for a windowed rate.
@@ -560,10 +578,14 @@ class SiemEngine:
         top_phish = {pt: max(probs[pt] for _, probs in state.phishing)
                      for pt in self._phish_kinds} if state.phishing else {}
         # ToM evidence by gating: gating variants drop contradicted ones.
+        # Greedy matching starts at the first event, so an eviction can move
+        # it: the hypotheses are reused only while the ToM deque is unchanged.
         intent = {}
-        if self.variant.forensics and state.window:
-            hyps = tom.abduce(list(state.window), self.library,
-                              self.rules.approved_email_domains)
+        if self.variant.forensics and state.tom:
+            if state.hypotheses is None:
+                state.hypotheses = tom.abduce(state.tom, state.tom_masks,
+                                              self.library)
+            hyps = state.hypotheses
             for gating in self._tom_kinds:
                 live = [h for h in hyps if not tom.check_contradiction(
                     h, hyps, state.spec.compliance)] if gating else hyps

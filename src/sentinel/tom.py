@@ -4,6 +4,11 @@ A plan library (bundled data, editable without code changes) holds one
 abstract action template per attack scenario plus benign explanation
 templates. Matching a window against a template prefix by subsequence gives
 a completion fraction; specificity weighting turns that into a confidence.
+Plan elements are matched once per event, when the event is ingested: its
+mask holds one bit per distinct template element it matches, and only events
+with a non-zero mask take part in matching at all. Each template's
+completion, confidence and matched kinds per matched prefix are tabulated
+once, when the library loads.
 A hypothesis is discarded ("contradicted") when a benign template explains
 the window at least as well, or when the actor holds a compliance approval
 covering the matched actions.
@@ -25,12 +30,6 @@ SPEC_SENSITIVE = 2.0
 SPEC_EXTERNAL = 2.0
 SPEC_LOGIN = 0.5
 SPEC_UNAPPROVED = 2.5
-
-# One template as matching reads it: (plan, malicious,
-# ((kind, element, specificity), ...), total specificity).
-CompiledTemplate = tuple[str, bool, tuple[tuple[ActionKind, dict, float], ...],
-                         float]
-
 
 @dataclass(frozen=True)
 class IntentHypothesis:
@@ -54,27 +53,49 @@ def _specificity(element: dict) -> float:
     return w
 
 
-def _compile(plan: str, malicious: bool,
-             template: list[dict]) -> CompiledTemplate:
-    elements = tuple((ActionKind(e["kind"]), e, _specificity(e))
-                     for e in template)
-    return plan, malicious, elements, sum(w for _, _, w in elements)
-
-
 class PlanLibrary:
     """Ordered action templates, one per scenario, plus benign explanations,
-    compiled once at load: malicious plans first, each in file order."""
+    compiled once at load: malicious plans first, each in file order.
+
+    Each distinct element gets one bit; ``templates`` holds, per template,
+    its element bits in order with a trailing 0 that no mask matches, and
+    the hypothesis each matched prefix length 1..n gives."""
 
     def __init__(self, doc: dict):
-        self.templates: tuple[CompiledTemplate, ...] = tuple(
-            _compile(plan, malicious, template)
-            for malicious, key in ((True, "malicious"), (False, "benign"))
-            for plan, template in doc[key].items())
+        elements: list[tuple[ActionKind, dict]] = []
+        self._by_kind: dict[ActionKind, list[tuple[dict, int]]] = {}
+        templates = []
+        for malicious, key in ((True, "malicious"), (False, "benign")):
+            for plan, template in doc[key].items():
+                bits, prefixes, kinds = [], [], set()
+                # Weights add in template order, as a left-to-right greedy
+                # match accumulates them.
+                total = sum(_specificity(e) for e in template)
+                matched = 0.0
+                for k, e in enumerate(template, 1):
+                    kind = ActionKind(e["kind"])
+                    if (kind, e) not in elements:
+                        elements.append((kind, e))
+                        self._by_kind.setdefault(kind, []).append(
+                            (e, 1 << (len(elements) - 1)))
+                    bits.append(1 << elements.index((kind, e)))
+                    matched += _specificity(e)
+                    kinds.add(kind)
+                    prefixes.append(IntentHypothesis(
+                        plan, malicious, k / len(template),
+                        matched / total if total else 0.0, frozenset(kinds)))
+                templates.append((tuple(bits) + (0,), tuple(prefixes)))
+        self.templates = tuple(templates)
 
     @classmethod
     def bundled(cls) -> "PlanLibrary":
         text = resources.files("sentinel.data").joinpath("plan_library.json").read_text("utf-8")
         return cls(json.loads(text))
+
+    def mask(self, event: Event, approved_domains: frozenset[str]) -> int:
+        """The bits of the distinct elements ``event`` matches."""
+        return sum(bit for element, bit in self._by_kind.get(event.kind, ())
+                   if _element_matches(element, event, approved_domains))
 
 
 def _element_matches(element: dict, event: Event,
@@ -94,41 +115,22 @@ def _element_matches(element: dict, event: Event,
     return True
 
 
-def _match_template(
-    window: Sequence[Event], template: CompiledTemplate,
-    approved_domains: frozenset[str],
-) -> tuple[float, float, frozenset[ActionKind]]:
-    """Greedy subsequence match of the window against the template prefix:
-    (completion, confidence, matched kinds)."""
-    _, _, elements, total_weight = template
-    idx = 0
-    matched_weight = 0.0
-    kinds: set[ActionKind] = set()
-    want_kind, want_element, weight = elements[0]
-    for event in window:
-        if event.kind is want_kind and _element_matches(
-                want_element, event, approved_domains):
-            matched_weight += weight
-            kinds.add(event.kind)
-            idx += 1
-            if idx >= len(elements):
-                break
-            want_kind, want_element, weight = elements[idx]
-    completion = idx / len(elements)
-    confidence = matched_weight / total_weight if total_weight else 0.0
-    return completion, confidence, frozenset(kinds)
+def abduce(window: Sequence[Event], masks: Sequence[int],
+           library: PlanLibrary) -> list[IntentHypothesis]:
+    """Intent hypotheses for one actor's recent window (completion 0 omitted).
 
-
-def abduce(window: Sequence[Event], library: PlanLibrary,
-           approved_domains: frozenset[str]) -> list[IntentHypothesis]:
-    """Intent hypotheses for one actor's recent window (completion 0 omitted)."""
+    ``window`` is the actor's events in order and ``masks`` their
+    ``library.mask`` values; an event that matches no element never
+    advances a match, so it may be left out of both. Each template's greedy
+    subsequence match reads only the masks."""
     hypotheses = []
-    for template in library.templates:
-        completion, confidence, kinds = _match_template(
-            window, template, approved_domains)
-        if completion > 0.0:
-            hypotheses.append(IntentHypothesis(
-                template[0], template[1], completion, confidence, kinds))
+    for bits, prefixes in library.templates:
+        idx = 0
+        for mask in masks:
+            if mask & bits[idx]:
+                idx += 1
+        if idx:
+            hypotheses.append(prefixes[idx - 1])
     return hypotheses
 
 

@@ -1,13 +1,19 @@
 """End-to-end CLI runs in temporary directories."""
 
+import contextlib
 import copy
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sentinel import forensics
+from sentinel import forensics, simkit
 from sentinel.cli import main
-from sentinel.events import parse_event_log
+from sentinel.events import (ActionKind, Event, GroundTruth, Role, Scenario,
+                             parse_event_log, serialize_event_log,
+                             truth_to_dict)
 
 SMALL = {"total_steps": 110, "warmup_steps": 60, "seed": 7}
 DEEP = b"[" * 100_000 + b"]" * 100_000   # nested past the recursion limit
@@ -74,68 +80,100 @@ def test_detect_missing_inputs(tmp_path):
     assert main(["detect", str(tmp_path / "missing.jsonl")]) == 2
 
 
-@pytest.mark.parametrize("corrupt, named", [
-    (lambda e: e.update(actor_id="u999"), "'u999'"),
-    (lambda e: e["payload"].update(body=5), "body"),
-    (lambda e: e.update(step=True), "step must be an int"),
-    (lambda e: e.update(step=2.5), "step must be an int"),
-    (lambda e: e.update(step=9999), "step 9999: outside"),
-    (lambda e: e.update(actor_id=["u001"]), "actor_id must be a string"),
-    (lambda e: DEEP, "malformed JSON"),
-    (lambda e: b"\xff" + json.dumps(e).encode(), "not UTF-8"),
-], ids=["unknown_actor", "non_string_body", "bool_step", "float_step",
-        "step_past_end", "list_actor_id", "deep_nesting", "not_utf8"])
-def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
-                                    named):
-    # A corrupted copy of the first email goes right after it, or last when
-    # the corruption moves its step, so the log stays step-ordered and only
-    # the corruption can be at fault. A corruption that returns bytes
-    # replaces the copied line with them.
-    lines = (simulated / "events.jsonl").read_bytes().splitlines()
+# id -> (corruption of a copy of the log's first email, what the error names)
+HOSTILE_LOGS = {
+    "unknown_actor": (lambda e: e.update(actor_id="u999"), "'u999'"),
+    "non_string_body": (lambda e: e["payload"].update(body=5), "body"),
+    "bool_step": (lambda e: e.update(step=True), "step must be an int"),
+    "float_step": (lambda e: e.update(step=2.5), "step must be an int"),
+    "step_past_end": (lambda e: e.update(step=9999), "step 9999: outside"),
+    "list_actor_id": (lambda e: e.update(actor_id=["u001"]),
+                      "actor_id must be a string"),
+    "deep_nesting": (lambda e: DEEP, "malformed JSON"),
+    "not_utf8": (lambda e: b"\xff" + json.dumps(e).encode(), "not UTF-8"),
+    # Past the float range the engine sums volumes in.
+    "huge_volume": (lambda e: json.dumps(dict(
+        e, kind="file_export", payload={"volume": 10 ** 400, "resource": "x",
+                                        "destination": "external"})).encode(),
+        "export volume must be an int in [0, 2**53)"),
+}
+
+
+def _hostile_log(log: bytes, corrupt) -> bytes:
+    """The log with a corrupted copy of its first email right after it, or
+    last when the corruption moves its step, so the log stays step-ordered
+    and only the corruption can be at fault. A corruption that returns bytes
+    replaces the copied line with them."""
+    lines = log.splitlines()
     at = next(i for i, line in enumerate(lines)
               if json.loads(line)["kind"] == "email_send")
-    copy = json.loads(lines[at])
-    line = corrupt(copy)
+    dup = json.loads(lines[at])
+    line = corrupt(dup)
     if not isinstance(line, bytes):
-        line = json.dumps(copy).encode()
-    moved = copy["step"] != json.loads(lines[at])["step"]
+        line = json.dumps(dup).encode()
+    moved = dup["step"] != json.loads(lines[at])["step"]
     lines.insert(len(lines) if moved else at + 1, line)
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("corrupt, named", list(HOSTILE_LOGS.values()),
+                         ids=list(HOSTILE_LOGS))
+def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
+                                    named):
     log = tmp_path / "hostile.jsonl"
-    log.write_bytes(b"\n".join(lines) + b"\n")
+    log.write_bytes(_hostile_log(
+        (simulated / "events.jsonl").read_bytes(), corrupt))
     assert main(["detect", str(log), "--truth", str(simulated / "truth.json"),
                  "--variant", "lsc", "--out", str(tmp_path / "det")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
-@pytest.mark.parametrize("corrupt, named", [
-    (lambda d: d.clear(), "'actors' and 'ground_truth' lists"),
-    (lambda d: d.update(total_steps="110"), "0 <= warmup_steps < total_steps"),
-    (lambda d: d.update(ground_truth=5), "'actors' and 'ground_truth' lists"),
-    (lambda d: d.update(warmup_steps=500), "got [500, 110]"),
-    (lambda d: d.update(warmup_steps=True), "0 <= warmup_steps < total_steps"),
-    (lambda d: d.update(seed=[7]), "int seed"),
-    (lambda d: d["actors"].append(7), "malformed actor entry"),
-    (lambda d: d["ground_truth"].pop(), "name different actors"),
-    (lambda d: d["actors"].append(dict(d["actors"][0], role="admin")),
-     "an actor twice"),
-    (lambda d: d["ground_truth"].append(d["ground_truth"][0]),
-     "an actor twice"),
-    (lambda d: d["ground_truth"][-1].update(malicious="yes"),
-     "must be booleans"),
-    (lambda d: d["actors"][0].update(compliance=1), "must be booleans"),
-    (lambda d: DEEP, "nests JSON too deep"),
-], ids=["empty_object", "string_total_steps", "int_ground_truth",
-        "warmup_past_total", "bool_warmup", "list_seed", "int_actor_entry",
-        "truth_misses_actor", "duplicate_actor", "duplicate_truth",
-        "string_malicious", "int_compliance", "deep_nesting"])
+# id -> (corruption of the sidecar object, what the error names)
+HOSTILE_SIDECARS = {
+    "empty_object": (lambda d: d.clear(), "'actors' and 'ground_truth' lists"),
+    "string_total_steps": (lambda d: d.update(total_steps="110"),
+                           "0 <= warmup_steps < total_steps"),
+    "int_ground_truth": (lambda d: d.update(ground_truth=5),
+                         "'actors' and 'ground_truth' lists"),
+    "warmup_past_total": (lambda d: d.update(warmup_steps=500),
+                          "got [500, 110]"),
+    "bool_warmup": (lambda d: d.update(warmup_steps=True),
+                    "0 <= warmup_steps < total_steps"),
+    "list_seed": (lambda d: d.update(seed=[7]), "int seed"),
+    "int_actor_entry": (lambda d: d["actors"].append(7),
+                        "malformed actor entry"),
+    "truth_misses_actor": (lambda d: d["ground_truth"].pop(),
+                           "name different actors"),
+    "duplicate_actor": (lambda d: d["actors"].append(
+        dict(d["actors"][0], role="admin")), "an actor twice"),
+    "duplicate_truth": (lambda d: d["ground_truth"].append(
+        d["ground_truth"][0]), "an actor twice"),
+    "string_malicious": (lambda d: d["ground_truth"][-1].update(
+        malicious="yes"), "must be booleans"),
+    "int_compliance": (lambda d: d["actors"][0].update(compliance=1),
+                       "must be booleans"),
+    "deep_nesting": (lambda d: DEEP, "nests JSON too deep"),
+    # Time to detection subtracts it from a detecting alert's step.
+    "null_onset": (lambda d: next(t for t in d["ground_truth"]
+                                  if t["malicious"]).update(
+        first_malicious_step=None), "int first_malicious_step"),
+}
+
+
+def _hostile_sidecar(sidecar: dict, corrupt) -> bytes:
+    doc = copy.deepcopy(sidecar)
+    payload = corrupt(doc)
+    return payload if isinstance(payload, bytes) else json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("corrupt, named", list(HOSTILE_SIDECARS.values()),
+                         ids=list(HOSTILE_SIDECARS))
 def test_detect_hostile_sidecar_exits_2(simulated, tmp_path, capsys, corrupt,
                                         named):
-    sidecar = json.loads((simulated / "truth.json").read_text())
     truth = tmp_path / "hostile_truth.json"
-    payload = corrupt(sidecar)
-    truth.write_bytes(payload if isinstance(payload, bytes)
-                      else json.dumps(sidecar).encode())
+    truth.write_bytes(_hostile_sidecar(
+        json.loads((simulated / "truth.json").read_text()), corrupt))
     assert main(["detect", str(simulated / "events.jsonl"), "--truth",
                  str(truth), "--variant", "lsc",
                  "--out", str(tmp_path / "det")]) == 2
@@ -265,3 +303,207 @@ def test_invalid_runtime_config_exits_2(tmp_path):
     cfg.write_text(json.dumps({"total_steps": 50, "warmup_steps": 60}))
     assert main(["--config", str(cfg), "simulate",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_detect_rejects_non_finite_theta_flag(simulated, tmp_path, capsys,
+                                              theta):
+    capsys.readouterr()
+    assert main(["detect", str(simulated / "events.jsonl"), "--variant",
+                 "lsc", f"--theta-base={theta}",
+                 "--out", str(tmp_path / "det")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "theta_base must be a finite number" in err[0]
+
+
+@pytest.mark.parametrize("theta", ["NaN", "Infinity"])
+def test_detect_rejects_non_finite_theta_config(simulated, tmp_path, capsys,
+                                                theta):
+    # Python's json reads NaN and Infinity as floats, so the type check
+    # passes them; the variant's own check rejects them.
+    config = tmp_path / "theta.json"
+    config.write_text(f'{{"theta_base": {theta}}}')
+    capsys.readouterr()
+    assert main(["--config", str(config), "detect",
+                 str(simulated / "events.jsonl"), "--variant", "lsc",
+                 "--out", str(tmp_path / "det")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "theta_base must be a finite number" in err[0]
+
+
+# -- any sidecar and log: alerts, or one error line ---------------------------
+
+def _tiny_log():
+    """A 30-step log of three actors, small enough to detect in milliseconds:
+    (sidecar object, log bytes)."""
+    roster = (simkit.ActorSpec("u001", Role.STAFF, False),
+              simkit.ActorSpec("u002", Role.STAFF, True,
+                               Scenario.EMAIL_LEAKAGE, 12),
+              simkit.ActorSpec("u003", Role.POWER_USER, False,
+                               compliance=True))
+    truths = [GroundTruth("u001", False), GroundTruth("u003", False),
+              GroundTruth("u002", True, Scenario.EMAIL_LEAKAGE, 12)]
+    events = []
+    for step in range(30):
+        for actor in ("u001", "u002", "u003"):
+            events.append(Event(step, actor, ActionKind.LOGIN,
+                                {"context": "normal"}))
+        events.append(Event(step, "u003", ActionKind.FILE_EXPORT, {
+            "volume": 400 + 10 * step, "resource": "crm_db",
+            "destination": "staging" if step % 3 else "external"}))
+        if step >= 12:
+            events.append(Event(step, "u002", ActionKind.FILE_ACCESS, {
+                "resource": "hr_records", "sensitivity": "sensitive"}))
+            events.append(Event(step, "u002", ActionKind.EMAIL_SEND, {
+                "recipient_domain": "external",
+                "recipient": "privatemail.example",
+                "body": "urgent: the confidential payroll, act now"}))
+    sidecar = {"seed": 7, "total_steps": 30, "warmup_steps": 10,
+               "actors": simkit.roster_to_dict(roster),
+               "ground_truth": truth_to_dict(truths)}
+    return sidecar, serialize_event_log(events)
+
+
+TINY_SIDECAR, TINY_LOG = _tiny_log()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 40) | st.integers()
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_VALUES = _JSON | st.sampled_from(
+    ["u001", "u002", "u999", "staff", "admin", "email_leakage", "stealth",
+     "login", "email_send", "file_export", "external", "staging",
+     "after_hours", "privatemail.example", "partnercorp.example",
+     -1, 0, 2 ** 53, 10 ** 400, 1e308])
+_DELETE = object()
+_KEYS = {
+    "actors": ("actor_id", "role", "malicious", "scenario", "start_step",
+               "compliance", "style_mean", "report_phase"),
+    "ground_truth": ("actor_id", "malicious", "scenario",
+                     "first_malicious_step"),
+    "event": ("step", "actor_id", "kind", "payload", "extra"),
+    "payload": ("context", "resource", "sensitivity", "volume",
+                "destination", "recipient_domain", "recipient", "body"),
+}
+# Every field of the sidecar an edit can hit: (list, entry, key); list None
+# for the top-level object.
+_SLOTS = [(None, None, key) for key in (
+    "seed", "total_steps", "warmup_steps", "actors", "ground_truth", "extra")]
+_SLOTS += [(where, i, key) for where in ("actors", "ground_truth")
+           for i in range(3) for key in _KEYS[where]]
+
+
+def _edit(target: dict, key: str, value) -> None:
+    if value is _DELETE:
+        target.pop(key, None)
+    elif key in ("total_steps", "warmup_steps") and isinstance(value, int) \
+            and not -5 <= value <= 200:
+        # A sidecar may declare any number of steps, and the engine runs
+        # every one of them; keep each example short.
+        target[key] = value % 200
+    else:
+        target[key] = value
+
+
+@st.composite
+def _sidecar_bytes(draw):
+    doc = copy.deepcopy(TINY_SIDECAR)
+    for where, i, key in draw(st.lists(st.sampled_from(_SLOTS), min_size=1,
+                                       max_size=3)):
+        entries = doc.get(where) if where else [doc]
+        target = entries[i or 0] if isinstance(entries, list) \
+            and len(entries) > (i or 0) else None
+        if isinstance(target, dict):
+            _edit(target, key, draw(st.just(_DELETE) | _VALUES))
+    if draw(st.integers(0, 9)) == 0:
+        doc = draw(_JSON)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _log_bytes(draw):
+    # Each line is an event object or, once overwritten, raw bytes.
+    lines = [json.loads(line) for line in TINY_LOG.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["event", "payload", "bytes", "drop",
+                                    "repeat"]))
+        if how == "bytes":
+            lines[at] = draw(st.binary(max_size=20))
+        elif how == "drop":
+            del lines[at]
+        elif how == "repeat":
+            lines.insert(at, copy.deepcopy(lines[at]))
+        elif isinstance(lines[at], dict):
+            target = lines[at] if how == "event" else lines[at].get("payload")
+            if isinstance(target, dict):
+                _edit(target, draw(st.sampled_from(_KEYS[how])),
+                      draw(st.just(_DELETE) | _VALUES))
+    return b"".join((line if isinstance(line, bytes)
+                     else json.dumps(line).encode()) + b"\n"
+                    for line in lines)
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory, model_doc):
+    path = tmp_path_factory.mktemp("model") / "forensics_model.json"
+    path.write_text(json.dumps(model_doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("any_input")
+
+
+def _examples(test):
+    """Every hostile log and sidecar above, each with the other input
+    intact, and both inputs intact."""
+    cases = [(TINY_SIDECAR, _hostile_log(TINY_LOG, corrupt))
+             for corrupt, _ in HOSTILE_LOGS.values()]
+    cases += [(_hostile_sidecar(TINY_SIDECAR, corrupt), TINY_LOG)
+              for corrupt, _ in HOSTILE_SIDECARS.values()]
+    cases.append((TINY_SIDECAR, TINY_LOG))
+    for sidecar, log in cases:
+        if isinstance(sidecar, dict):
+            sidecar = json.dumps(sidecar).encode()
+        for variant in ("lsc", "eg"):
+            test = example(inputs=(sidecar, log), variant=variant,
+                           theta=None)(test)
+    return test
+
+
+@_examples
+@given(inputs=st.one_of(
+    st.tuples(_sidecar_bytes(), st.just(TINY_LOG)),
+    st.tuples(st.just(json.dumps(TINY_SIDECAR).encode()), _log_bytes()),
+    st.tuples(_sidecar_bytes(), _log_bytes())),
+       variant=st.sampled_from(["lsc", "ce", "eg", "eg-pt"]),
+       theta=st.none() | st.floats() | st.sampled_from([0.0, 4.0, -3.0]))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_detect_any_sidecar_and_log_ends_cleanly(work_dir, model_path,
+                                                 inputs, variant, theta):
+    # Whatever the sidecar and log hold, detect writes alerts (exit 0) or
+    # ends in one `error:` line (exit 1 or 2), never a traceback.
+    sidecar, log = inputs
+    (work_dir / "events.jsonl").write_bytes(log)
+    (work_dir / "truth.json").write_bytes(sidecar)
+    argv = ["detect", str(work_dir / "events.jsonl"), "--variant", variant,
+            "--model", str(model_path), "--out", str(work_dir / "out")]
+    if theta is not None:
+        argv.append(f"--theta-base={theta!r}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

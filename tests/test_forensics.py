@@ -4,14 +4,17 @@ import json
 import math
 
 import numpy as np
+import oracle_layers
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine_differential import BODIES
 
 from sentinel.forensics import (SENSITIVE_KEYWORDS, URGENT_KEYWORDS,
                                 ModelFormatError, MultinomialClassifier,
                                 TrainingError, build_vocabulary,
-                                count_keyword_hits, generate_leak_body,
+                                count_keyword_hits, count_matrix,
+                                generate_leak_body,
                                 generate_synthetic_corpus,
                                 keyword_phishing_score, lexical_richness,
                                 load_model, save_model, tokenize,
@@ -48,6 +51,49 @@ def test_keyword_phishing_score_formula():
     u = count_keyword_hits(body, URGENT_KEYWORDS)
     assert keyword_phishing_score(body) == pytest.approx(min(1.0, 0.18 * s + 0.22 * u))
     assert keyword_phishing_score("plain schedule update") == 0.0
+
+
+def _frozen_counts(texts):
+    """count_matrix rows built with the frozen tokenizer and keyword counter,
+    over a vocabulary of every token the texts hold plus one absent term."""
+    docs = [[t for s in oracle_layers.tokenize(x) for t in s] for x in texts]
+    vocab = {t: i for i, t in enumerate(sorted(
+        {t for doc in docs for t in doc} | {"absent"}))}
+    rows = np.zeros((len(texts), len(vocab) + 2))
+    for row, text, doc in zip(rows, texts, docs):
+        for t in doc:
+            row[vocab[t]] += 1.0
+        row[-2] = oracle_layers.count_keyword_hits(
+            text, oracle_layers.SENSITIVE_KEYWORDS)
+        row[-1] = oracle_layers.count_keyword_hits(
+            text, oracle_layers.URGENT_KEYWORDS)
+    return vocab, rows
+
+
+def test_count_matrix_matches_frozen_counts():
+    rng = substream(5, "count-matrix")
+    texts = list(BODIES) + [text for text, _ in generate_synthetic_corpus(
+        5, 10, 10)] + [generate_leak_body(rng, dense) for dense in (0, 1)]
+    vocab, expected = _frozen_counts(texts)
+    assert np.array_equal(count_matrix(texts, vocab), expected)
+
+
+_KEYWORD_WORDS = SENSITIVE_KEYWORDS + URGENT_KEYWORDS + ("budget", "it's")
+
+
+@given(parts=st.lists(st.tuples(
+    st.sampled_from(_KEYWORD_WORDS).flatmap(lambda w: st.sampled_from(
+        [w, w.upper(), w.replace(" ", "  "), w.replace(" ", "\n"),
+         w.replace(" ", "-"), w + "'s", w + "s", "x" + w, w + " " + w])),
+    st.sampled_from(["", " ", "\t", "\n ", ".", ". ", ", ", "!", "'"])),
+    max_size=30))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_count_matrix_matches_frozen_counts_on_keyword_edges(parts):
+    # Repeated and overlapping phrases ("trade secret" holds "secret"),
+    # keywords glued to their neighbours, and punctuation at token edges.
+    text = "".join(word + sep for word, sep in parts)
+    vocab, expected = _frozen_counts([text])
+    assert np.array_equal(count_matrix([text], vocab), expected)
 
 
 def test_build_vocabulary_ranking_and_cap():
