@@ -29,7 +29,7 @@ def _abduce(window):
                   [m for m in masks if m], LIB)
 
 
-def _match_template(window, plan):
+def _plan_match(window, plan):
     """(completion, confidence, matched kinds) of one plan over a window."""
     h = next((h for h in _abduce(window) if h.plan == plan), None)
     return (h.completion, h.confidence, h.matched_kinds) if h else \
@@ -59,7 +59,7 @@ def test_specificity_multipliers():
 
 
 def test_full_stealth_match():
-    completion, confidence, kinds = _match_template(
+    completion, confidence, kinds = _plan_match(
         _stealth_window(), "stealth")
     assert completion == 1.0
     assert confidence == 1.0
@@ -69,7 +69,7 @@ def test_full_stealth_match():
 
 def test_stealth_without_email_stays_below_tau():
     window = _stealth_window()[:-1]
-    _, confidence, _ = _match_template(window, "stealth")
+    _, confidence, _ = _plan_match(window, "stealth")
     # (0.5 + 3) / (0.5 + 3 + 5)
     assert confidence == pytest.approx(3.5 / 8.5)
     assert confidence < TAU
@@ -84,7 +84,7 @@ def test_leakage_partial_confidence_oracle():
         _ev(5, ActionKind.EMAIL_SEND, recipient_domain="external",
             recipient="privatemail.example", body="y"),
     ]
-    completion, confidence, _ = _match_template(
+    completion, confidence, _ = _plan_match(
         window, "email_leakage")
     assert completion == pytest.approx(3 / 4)
     # (2 + 5 + 5) / (2 + 5 + 5 + 5)
@@ -98,7 +98,7 @@ def test_approved_recipient_blocks_unapproved_elements():
         _ev(3, ActionKind.EMAIL_SEND, recipient_domain="external",
             recipient="partnercorp.example", body="newsletter"),
     ]
-    completion, _, _ = _match_template(
+    completion, _, _ = _plan_match(
         window, "email_leakage")
     assert completion == pytest.approx(1 / 4)  # only the file access matched
 
