@@ -122,7 +122,8 @@ def _read_sidecar(path: Path, events) -> simkit.SimResult:
     ValueError unless the sidecar is an object whose actor lists name the
     same actors, each once, with bool `malicious` and `compliance` flags,
     an int `first_malicious_step` for each malicious actor, an int seed
-    (default 101) and int steps 0 <= warmup_steps < total_steps.
+    (default 101) and int steps 0 <= warmup_steps < total_steps, with
+    actors x total_steps within simkit.MAX_ACTOR_STEPS.
     """
     try:
         doc = json.loads(path.read_text("utf-8"))
@@ -160,6 +161,7 @@ def _read_sidecar(path: Path, events) -> simkit.SimResult:
         raise ValueError("truth sidecar needs an int first_malicious_step "
                          "for each malicious actor")
     warmup, total, seed = ints
+    simkit.check_size(len(roster), total)
     return simkit.SimResult(tuple(events), truths, roster, seed, total, warmup)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import forensics, siem, simkit
@@ -175,6 +175,12 @@ def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values)
 
 
+# RunReport's measures, the fields aggregate averages: all but the cell's
+# keys and the per-scenario dict, in declaration order.
+_MEASURES = tuple(f.name for f in fields(RunReport) if f.name not in (
+    "variant", "seed", "theta_base", "ttd_scenario"))
+
+
 def aggregate(reports: Sequence[RunReport]) -> RunReport:
     """Per-variant mean row over seeds (seed recorded as -1)."""
     if not reports:
@@ -185,29 +191,17 @@ def aggregate(reports: Sequence[RunReport]) -> RunReport:
     scenarios = sorted({s for r in reports for s in r.ttd_scenario})
     return RunReport(
         variant=reports[0].variant, seed=-1, theta_base=reports[0].theta_base,
-        actor_precision=_mean([r.actor_precision for r in reports]),
-        actor_recall=_mean([r.actor_recall for r in reports]),
-        actor_f1=_mean([r.actor_f1 for r in reports]),
-        early_precision=_mean([r.early_precision for r in reports]),
-        confirmed_precision=_mean([r.confirmed_precision for r in reports]),
-        confirmed_alerts=_mean([r.confirmed_alerts for r in reports]),
-        confirmed_fp=_mean([r.confirmed_fp for r in reports]),
-        early_alerts=_mean([r.early_alerts for r in reports]),
-        ttd_avg=_mean([r.ttd_avg for r in reports]),
-        ttd_max=_mean([r.ttd_max for r in reports]),
-        tom_assisted=_mean([r.tom_assisted for r in reports]),
         ttd_scenario={
             s: _mean([r.ttd_scenario.get(s) for r in reports])
             for s in scenarios
         },
+        **{name: _mean([getattr(r, name) for r in reports])
+           for name in _MEASURES},
     )
 
 
-CSV_COLUMNS = ("variant", "seed", "theta_base", "actor_precision",
-               "actor_recall", "actor_f1", "early_precision",
-               "confirmed_precision", "confirmed_alerts", "confirmed_fp",
-               "early_alerts", "ttd_avg", "ttd_max", "tom_assisted",
-               "ttd_email_leakage")
+CSV_COLUMNS = tuple(f.name for f in fields(RunReport)
+                    if f.name != "ttd_scenario") + ("ttd_email_leakage",)
 
 
 def _fmt(value) -> str:
@@ -223,15 +217,10 @@ def reports_to_csv(reports: Sequence[RunReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        writer.writerow([
-            r.variant, "mean" if r.seed == -1 else r.seed, _fmt(r.theta_base),
-            _fmt(r.actor_precision), _fmt(r.actor_recall), _fmt(r.actor_f1),
-            _fmt(r.early_precision), _fmt(r.confirmed_precision),
-            _fmt(r.confirmed_alerts), _fmt(r.confirmed_fp),
-            _fmt(r.early_alerts), _fmt(r.ttd_avg), _fmt(r.ttd_max),
-            _fmt(r.tom_assisted),
-            _fmt(r.ttd_scenario.get(Scenario.EMAIL_LEAKAGE.value)),
-        ])
+        row = dict(vars(r), seed="mean" if r.seed == -1 else r.seed,
+                   ttd_email_leakage=r.ttd_scenario.get(
+                       Scenario.EMAIL_LEAKAGE.value))
+        writer.writerow([_fmt(row[column]) for column in CSV_COLUMNS])
     return buf.getvalue()
 
 

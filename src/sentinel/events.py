@@ -242,15 +242,8 @@ def serialize_alert_log(alerts: Sequence[Alert]) -> bytes:
 # Ground truth sidecar (JSON, one document)
 
 def truth_to_dict(truths: Iterable[GroundTruth]) -> list[dict]:
-    out = []
-    for t in sorted(truths, key=lambda t: t.actor_id):
-        out.append({
-            "actor_id": t.actor_id,
-            "malicious": t.malicious,
-            "scenario": t.scenario.value if t.scenario else None,
-            "first_malicious_step": t.first_malicious_step,
-        })
-    return out
+    return [dict(vars(t), scenario=t.scenario.value if t.scenario else None)
+            for t in sorted(truths, key=lambda t: t.actor_id)]
 
 
 def truth_from_dict(items: Sequence[dict]) -> list[GroundTruth]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -358,12 +358,7 @@ def save_model(model: PretrainedModel) -> bytes:
         "families": model.families,
         "accuracies": model.accuracies,
         "selected_family": model.selected_family,
-        "baseline": {
-            "mean_sentence_length": model.baseline.mean_sentence_length,
-            "lexical_richness": model.baseline.lexical_richness,
-            "sentence_length_sd": model.baseline.sentence_length_sd,
-            "richness_sd": model.baseline.richness_sd,
-        },
+        "baseline": asdict(model.baseline),
     }
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 

@@ -67,6 +67,17 @@ STAGING_EXPORT_PROB = 0.08
 # Insider onset: this many steps after warm-up, inclusive.
 ONSET_MIN = 5
 ONSET_MAX = 40
+# Simulating and detecting cost grows with actors x steps; the default run is
+# 42 x 240 = 10,080, and this bound keeps any accepted run to minutes.
+MAX_ACTOR_STEPS = 250_000
+
+
+def check_size(actors: int, total_steps: int) -> None:
+    """ValueError when a run of `actors` x `total_steps` exceeds
+    MAX_ACTOR_STEPS; a run with no actors still steps, so it counts as one."""
+    if max(actors, 1) * total_steps > MAX_ACTOR_STEPS:
+        raise ValueError(f"{actors} actors x {total_steps} steps exceeds the "
+                         f"bound of {MAX_ACTOR_STEPS:,} actor-steps")
 
 
 @dataclass
@@ -79,6 +90,8 @@ class SimConfig:
     def validate(self) -> None:
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must be in [0, total_steps)")
+        check_size(sum(BENIGN_COUNTS.values()) + sum(SCENARIO_COUNTS.values()),
+                   self.total_steps)
         if not 0.0 <= self.mistake_prob <= 1.0:
             raise ValueError(f"mistake_prob must be a probability, "
                              f"got {self.mistake_prob}")
@@ -142,13 +155,10 @@ def generate_roster(config: SimConfig, seed: int) -> tuple[ActorSpec, ...]:
 
 
 def roster_to_dict(roster) -> list[dict]:
-    return [{
-        "actor_id": a.actor_id, "role": a.role.value, "malicious": a.malicious,
-        "scenario": a.scenario.value if a.scenario else None,
-        "start_step": a.start_step, "compliance": a.compliance,
-        "style_mean": round(a.style_mean, 4), "style_sd": round(a.style_sd, 4),
-        "report_phase": a.report_phase,
-    } for a in roster]
+    return [dict(vars(a), role=a.role.value,
+                 scenario=a.scenario.value if a.scenario else None,
+                 style_mean=round(a.style_mean, 4),
+                 style_sd=round(a.style_sd, 4)) for a in roster]
 
 
 def roster_from_dict(items) -> tuple[ActorSpec, ...]:
@@ -161,34 +171,21 @@ def roster_from_dict(items) -> tuple[ActorSpec, ...]:
     ) for i in items)
 
 
-@dataclass(frozen=True)
-class ScriptedAction:
-    step: int
-    kind: ActionKind
-    payload: dict
-
-
-@dataclass(frozen=True)
-class ScenarioScript:
-    scenario: Scenario
-    start_step: int
-    actions: tuple[ScriptedAction, ...]
-
-
-def expand_scenario(scenario: Scenario, seed: int, start_step: int,
-                    total_steps: int = 240) -> ScenarioScript:
-    """Concrete, seeded action schedule for one insider.
+def expand_scenario(actor_id: str, scenario: Scenario, seed: int,
+                    start_step: int, total_steps: int = 240) -> list[Event]:
+    """One insider's scripted events, in step order, from `start_step` up to
+    `total_steps`.
 
     Attack phases repeat for the rest of the run; all volumes, jitter, and
     email bodies come from a substream of the seed, so the same arguments
-    always produce the same script.
+    always produce the same events.
     """
     rng = substream(seed, "script", scenario.value, start_step)
-    actions: list[ScriptedAction] = []
+    events: list[Event] = []
 
     def add(step: int, kind: ActionKind, **payload) -> None:
         if start_step <= step < total_steps:
-            actions.append(ScriptedAction(step, kind, payload))
+            events.append(Event(step, actor_id, kind, payload))
 
     if scenario is Scenario.EXFILTRATION:
         for base in range(start_step, total_steps, 60):
@@ -271,9 +268,8 @@ def expand_scenario(scenario: Scenario, seed: int, start_step: int,
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
 
-    actions.sort(key=lambda a: a.step)
-    return ScenarioScript(scenario=scenario, start_step=start_step,
-                          actions=tuple(actions))
+    events.sort(key=lambda e: e.step)
+    return events
 
 
 @dataclass(frozen=True)
@@ -338,7 +334,7 @@ def _benign_step_events(actor: ActorSpec, step: int, config: SimConfig,
     # Occasional policy slip: a mail to a deny-listed domain or an over-cap
     # external export. Each actor has one characteristic slip type, scripted
     # insiders are deliberately careful, and senior analysts do not slip.
-    if (not actor.malicious and role != "power_user"
+    if (not actor.malicious and role is not Role.POWER_USER
             and rng.random() < config.mistake_prob):
         if int(actor.actor_id.lstrip("u")) % 2 == 0:
             out.append(Event(step, actor.actor_id, ActionKind.EMAIL_SEND,
@@ -355,15 +351,14 @@ def _benign_step_events(actor: ActorSpec, step: int, config: SimConfig,
 
 
 def _power_cycle_events(actor: ActorSpec, config: SimConfig, seed: int,
-                        total_steps: int) -> dict[int, list[Event]]:
+                        total_steps: int) -> list[Event]:
     """Recurring analyst report cycle: query, stage, export, notify partner."""
     rng = substream(seed, "cycle", actor.actor_id)
-    by_step: dict[int, list[Event]] = {}
+    events: list[Event] = []
 
     def put(step: int, kind: ActionKind, **payload) -> None:
         if step < total_steps:
-            by_step.setdefault(step, []).append(
-                Event(step, actor.actor_id, kind, payload))
+            events.append(Event(step, actor.actor_id, kind, payload))
 
     for base in range(actor.report_phase, total_steps, config.power_report_every):
         put(base, ActionKind.DB_QUERY,
@@ -378,34 +373,32 @@ def _power_cycle_events(actor: ActorSpec, config: SimConfig, seed: int,
             recipient_domain="external",
             recipient=rng.choice(APPROVED_PARTNER_DOMAINS),
             body=forensics.compose_body(rng, actor.style_mean, actor.style_sd, 3))
-    return by_step
+    return events
 
 
 def run_simulation(config: SimConfig, seed: int) -> SimResult:
     """Generate the full event log and ground truth for one run."""
     roster = generate_roster(config, seed)
 
-    scripted: dict[str, dict[int, list[Event]]] = {}
-    cycles: dict[str, dict[int, list[Event]]] = {}
+    scheduled: list[Event] = []   # insider scripts and power-user cycles
     truths: list[GroundTruth] = []
     for actor in roster:
         if actor.malicious:
             actor_seed = substream(seed, "script-seed", actor.actor_id).next_u64()
-            script = expand_scenario(actor.scenario, actor_seed & 0xFFFFFFFF,
-                                     actor.start_step, config.total_steps)
-            by_step: dict[int, list[Event]] = {}
-            for a in script.actions:
-                by_step.setdefault(a.step, []).append(
-                    Event(a.step, actor.actor_id, a.kind, dict(a.payload)))
-            scripted[actor.actor_id] = by_step
+            scheduled += expand_scenario(actor.actor_id, actor.scenario,
+                                         actor_seed & 0xFFFFFFFF,
+                                         actor.start_step, config.total_steps)
             truths.append(GroundTruth(actor_id=actor.actor_id, malicious=True,
                                       scenario=actor.scenario,
                                       first_malicious_step=actor.start_step))
         else:
             if actor.role is Role.POWER_USER:
-                cycles[actor.actor_id] = _power_cycle_events(
-                    actor, config, seed, config.total_steps)
+                scheduled += _power_cycle_events(actor, config, seed,
+                                                 config.total_steps)
             truths.append(GroundTruth(actor_id=actor.actor_id, malicious=False))
+    schedule: dict[tuple[str, int], list[Event]] = {}
+    for e in scheduled:
+        schedule.setdefault((e.actor_id, e.step), []).append(e)
 
     streams = {a.actor_id: substream(seed, "actor", a.actor_id) for a in roster}
     events: list[Event] = []
@@ -413,10 +406,7 @@ def run_simulation(config: SimConfig, seed: int) -> SimResult:
         for actor in roster:
             events.extend(_benign_step_events(actor, step, config,
                                               streams[actor.actor_id]))
-            if actor.actor_id in cycles:
-                events.extend(cycles[actor.actor_id].get(step, ()))
-            if actor.actor_id in scripted:
-                events.extend(scripted[actor.actor_id].get(step, ()))
+            events.extend(schedule.get((actor.actor_id, step), ()))
     return SimResult(events=tuple(events), truths=tuple(truths), roster=roster,
                      seed=seed, total_steps=config.total_steps,
                      warmup_steps=config.warmup_steps)

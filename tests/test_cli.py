@@ -4,13 +4,14 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentinel import forensics, simkit
-from sentinel.cli import main
+from sentinel.cli import _read_sidecar, _sim_config, main
 from sentinel.events import (ActionKind, Event, GroundTruth, Role, Scenario,
                              parse_event_log, serialize_event_log,
                              truth_to_dict)
@@ -129,6 +130,11 @@ def test_detect_hostile_log_exits_2(simulated, tmp_path, capsys, corrupt,
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
+def _bound_steps(actors: int) -> int:
+    """The most steps a run of `actors` actors may declare."""
+    return simkit.MAX_ACTOR_STEPS // actors
+
+
 # id -> (corruption of the sidecar object, what the error names)
 HOSTILE_SIDECARS = {
     "empty_object": (lambda d: d.clear(), "'actors' and 'ground_truth' lists"),
@@ -154,6 +160,8 @@ HOSTILE_SIDECARS = {
     "int_compliance": (lambda d: d["actors"][0].update(compliance=1),
                        "must be booleans"),
     "deep_nesting": (lambda d: DEEP, "nests JSON too deep"),
+    "steps_past_bound": (lambda d: d.update(
+        total_steps=_bound_steps(len(d["actors"])) + 1), "actor-steps"),
     # Time to detection subtracts it from a detecting alert's step.
     "null_onset": (lambda d: next(t for t in d["ground_truth"]
                                   if t["malicious"]).update(
@@ -401,8 +409,8 @@ def _edit(target: dict, key: str, value) -> None:
         target.pop(key, None)
     elif key in ("total_steps", "warmup_steps") and isinstance(value, int) \
             and not -5 <= value <= 200:
-        # A sidecar may declare any number of steps, and the engine runs
-        # every one of them; keep each example short.
+        # A sidecar may declare up to simkit.MAX_ACTOR_STEPS actor-steps,
+        # and the engine runs every step; keep each example short.
         target[key] = value % 200
     else:
         target[key] = value
@@ -507,3 +515,37 @@ def test_detect_any_sidecar_and_log_ends_cleanly(work_dir, model_path,
     else:
         assert code in (1, 2)
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# -- the actors x steps bound -------------------------------------------------
+
+def test_inputs_at_the_step_bound_are_accepted(tmp_path):
+    # Read, not run: a run at the bound takes tens of seconds.
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(dict(TINY_SIDECAR,
+                                     total_steps=_bound_steps(3))))
+    assert _read_sidecar(truth, parse_event_log(TINY_LOG)).total_steps \
+        == _bound_steps(3)
+    steps = _bound_steps(42)   # the simulator's roster has 42 actors
+    assert _sim_config({"total_steps": steps}).total_steps == steps
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment", "detect"])
+def test_inputs_past_the_step_bound_end_at_once(tmp_path, capsys, command):
+    # The config's steps reach simulate and experiment; detect reads the
+    # sidecar's.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"total_steps": _bound_steps(42) + 1}))
+    argv = ["--config", str(config), command, "--out", str(tmp_path / "o")]
+    if command == "detect":
+        (tmp_path / "events.jsonl").write_bytes(TINY_LOG)
+        (tmp_path / "truth.json").write_text(json.dumps(dict(
+            TINY_SIDECAR, total_steps=_bound_steps(3) + 1)))
+        argv = ["detect", str(tmp_path / "events.jsonl"), "--variant", "lsc",
+                "--out", str(tmp_path / "o")]
+    started = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - started < 2.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "actor-steps" in err[0]

@@ -8,10 +8,10 @@ import pytest
 
 from sentinel import anomaly, siem, simkit
 from sentinel.events import Alert, Evidence, EvidenceKind, GroundTruth, Scenario
-from sentinel.evalkit import (CSV_COLUMNS, SWEEP_THETAS, actor_metrics,
-                              aggregate, alert_metrics, f1_score,
-                              reports_to_csv, run_cell, run_experiment,
-                              score_run, ttd, ttd_by_scenario)
+from sentinel.evalkit import (CSV_COLUMNS, SWEEP_THETAS, RunReport,
+                              actor_metrics, aggregate, alert_metrics,
+                              f1_score, reports_to_csv, run_cell,
+                              run_experiment, score_run, ttd, ttd_by_scenario)
 
 _EV = (Evidence(EvidenceKind.POLICY_VIOLATION, 2.0, 0),)
 
@@ -114,6 +114,31 @@ def test_csv_shape_and_formatting():
     assert rows[2][1] == "mean"
     assert rows[1][3] == "1.000000"  # floats carry six decimals
     assert rows[1][-1] == ""  # undetected scenario leaves the cell empty
+
+
+def test_aggregate_and_csv_cover_every_field_in_order():
+    # Every measure holds values of its own, so a skipped field or a shifted
+    # column shows; halves keep every mean exact.
+    measures = [0.5, 1.5, 2.5, 3.5, 4.5, 5, 6, 7, 8.5, 9, 10]
+    r1 = RunReport("eg", 1, 4.0, *measures, {"email_leakage": 11.0})
+    r2 = RunReport("eg", 2, 4.0, *[m + 1 for m in measures],
+                   {"email_leakage": 12.0, "stealth": 3.0})
+    assert aggregate([r1, r2]) == RunReport(
+        "eg", -1, 4.0, *[m + 0.5 for m in measures],
+        {"email_leakage": 11.5, "stealth": 3.0})
+    rows = list(csv.reader(io.StringIO(reports_to_csv([r1, r2]))))
+    assert rows == [
+        ["variant", "seed", "theta_base", "actor_precision", "actor_recall",
+         "actor_f1", "early_precision", "confirmed_precision",
+         "confirmed_alerts", "confirmed_fp", "early_alerts", "ttd_avg",
+         "ttd_max", "tom_assisted", "ttd_email_leakage"],
+        ["eg", "1", "4.000000", "0.500000", "1.500000", "2.500000",
+         "3.500000", "4.500000", "5", "6", "7", "8.500000", "9", "10",
+         "11.000000"],
+        ["eg", "2", "4.000000", "1.500000", "2.500000", "3.500000",
+         "4.500000", "5.500000", "6", "7", "8", "9.500000", "10", "11",
+         "12.000000"],
+    ]
 
 
 def test_run_experiment_simulates_each_seed_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Correlation engine unit oracles: EWMA, thresholds, trust, scorer,
 policy rules, gates, peer normalization, regularity suppression."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentinel import siem
-from sentinel.events import ActionKind, Event, Evidence, EvidenceKind, Role
+from sentinel.events import (ActionKind, Event, Evidence, EvidenceKind, Role,
+                             Scenario, serialize_alert_log)
 from sentinel.rng import substream
 from sentinel.siem import (EwmaState, GATE_EXCESS, GATE_LOGIN_CONTEXT,
                            GATE_STAGING, GATE_TIGHT_CHAIN, TRUST_HI, TRUST_INIT,
@@ -17,7 +19,7 @@ from sentinel.siem import (EwmaState, GATE_EXCESS, GATE_LOGIN_CONTEXT,
                            gate_confirm, peer_normalize, regularity_suppression,
                            satisfied_gates, scorer_features, summarize,
                            thresholds, update_trust)
-from sentinel.simkit import ActorSpec
+from sentinel.simkit import ActorSpec, SimConfig, run_simulation
 
 
 # -- EWMA -------------------------------------------------------------------
@@ -352,3 +354,58 @@ def test_regularity_suppression():
     irregular = [export(s) for s in (60, 61, 70, 71, 79)]
     assert regularity_suppression(steps(irregular)) == 1.0
     assert regularity_suppression(steps(regular[:2])) == 1.0  # too few events
+
+
+# -- truth boundary ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def short_log():
+    """A 60-step log of the first three actors of each role and every
+    insider: (roster, events, malicious actor ids)."""
+    log = run_simulation(SimConfig(total_steps=60, warmup_steps=10), 101)
+    keep = {a.actor_id for role in Role for a in [
+        a for a in log.roster if a.role is role and not a.malicious][:3]}
+    keep |= {a.actor_id for a in log.roster if a.malicious}
+    return (tuple(a for a in log.roster if a.actor_id in keep),
+            tuple(e for e in log.events if e.actor_id in keep),
+            sorted(a.actor_id for a in log.roster if a.malicious))
+
+
+def _alert_bytes(roster, events, malicious, model) -> list[bytes]:
+    engine = SiemEngine([VariantConfig(v) for v in siem.VARIANT_NAMES],
+                        roster, malicious, 101, model=model)
+    return [serialize_alert_log(alerts)
+            for alerts in engine.run(events, 60, 10)]
+
+
+@pytest.fixture(scope="module")
+def short_log_alerts(short_log, pretrained_model):
+    alerts = _alert_bytes(*short_log, pretrained_model)
+    assert all(alerts)   # every variant alerts, so there is something to keep
+    return alerts
+
+
+# What the simulator knows of an actor and a SIEM's directory does not.
+_SIMULATOR_ONLY = st.fixed_dictionaries({
+    "malicious": st.booleans(),
+    "scenario": st.none() | st.sampled_from(list(Scenario)),
+    "start_step": st.none() | st.integers(0, 60),
+    "style_mean": st.floats(1.0, 30.0),
+    "style_sd": st.floats(0.5, 6.0),
+    "report_phase": st.integers(0, 24),
+})
+
+
+@given(data=st.data())
+@settings(max_examples=8, derandomize=True, deadline=None)
+def test_alerts_read_no_truth_from_the_roster(short_log, short_log_alerts,
+                                              pretrained_model, data):
+    # The engine may learn who is malicious only from the labels it is
+    # given as analyst feedback, never from the roster's simulator fields.
+    roster, events, malicious = short_log
+    scrambled = tuple(
+        dataclasses.replace(actor, **fields) for actor, fields in zip(
+            roster, data.draw(st.lists(_SIMULATOR_ONLY, min_size=len(roster),
+                                       max_size=len(roster)))))
+    assert _alert_bytes(scrambled, events, malicious, pretrained_model) \
+        == short_log_alerts

@@ -5,10 +5,10 @@ import dataclasses
 import pytest
 
 from sentinel.events import ActionKind, Role, Scenario
-from sentinel.simkit import (COMPLIANCE_POWER_USERS, LEAK_RECIPIENT, ONSET_MAX,
-                             ONSET_MIN, SimConfig, expand_scenario,
-                             generate_roster, roster_from_dict, roster_to_dict,
-                             run_simulation)
+from sentinel.simkit import (COMPLIANCE_POWER_USERS, LEAK_RECIPIENT,
+                             MAX_ACTOR_STEPS, ONSET_MAX, ONSET_MIN, SimConfig,
+                             expand_scenario, generate_roster,
+                             roster_from_dict, roster_to_dict, run_simulation)
 
 
 def test_default_roster_shape():
@@ -80,21 +80,26 @@ def test_config_validation():
         SimConfig(power_report_every=3).validate()
     with pytest.raises(ValueError, match="onset"):
         SimConfig(total_steps=100, warmup_steps=60).validate()
+    # The 42-actor roster's longest run within the actors x steps bound, and
+    # one step more.
+    SimConfig(total_steps=MAX_ACTOR_STEPS // 42).validate()
+    with pytest.raises(ValueError, match="42 actors x 5953 steps"):
+        SimConfig(total_steps=MAX_ACTOR_STEPS // 42 + 1).validate()
 
 
 def test_expand_scenario_deterministic_and_bounded():
     for scenario in Scenario:
-        a = expand_scenario(scenario, seed=5, start_step=70)
-        b = expand_scenario(scenario, seed=5, start_step=70)
+        a = expand_scenario("u040", scenario, seed=5, start_step=70)
+        b = expand_scenario("u040", scenario, seed=5, start_step=70)
         assert a == b
-        assert all(70 <= act.step < 240 for act in a.actions)
-        assert a.actions == tuple(sorted(a.actions, key=lambda act: act.step))
-        assert a.actions  # every scenario schedules something
+        assert all(70 <= e.step < 240 and e.actor_id == "u040" for e in a)
+        assert a == sorted(a, key=lambda e: e.step)
+        assert a  # every scenario schedules something
 
 
 def test_stealth_opening_cycle():
-    script = expand_scenario(Scenario.STEALTH, seed=11, start_step=70)
-    opening = [a for a in script.actions if a.step <= 80]
+    script = expand_scenario("u040", Scenario.STEALTH, seed=11, start_step=70)
+    opening = [a for a in script if a.step <= 80]
     kinds = [(a.step, a.kind) for a in opening]
     assert (70, ActionKind.LOGIN) in kinds
     assert [(s, k) for s, k in kinds if k is ActionKind.FILE_EXPORT][:3] == [
