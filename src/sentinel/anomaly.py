@@ -97,13 +97,13 @@ def _leaf(sample: list[tuple[float, ...]]) -> dict:
 def _build_tree(sample: list[tuple[float, ...]], rng, depth: int, limit: int) -> dict:
     if len(sample) <= 1 or depth >= limit:
         return _leaf(sample)
-    splittable = [d for d in range(len(sample[0]))
-                  if min(s[d] for s in sample) < max(s[d] for s in sample)]
+    columns = list(zip(*sample))
+    lows, highs = [min(c) for c in columns], [max(c) for c in columns]
+    splittable = [d for d in range(len(columns)) if lows[d] < highs[d]]
     if not splittable:
         return _leaf(sample)
     dim = splittable[rng.randint(0, len(splittable) - 1)]
-    lo = min(s[dim] for s in sample)
-    hi = max(s[dim] for s in sample)
+    lo, hi = lows[dim], highs[dim]
     split = lo + (hi - lo) * rng.random()
     left = [s for s in sample if s[dim] < split]
     right = [s for s in sample if s[dim] >= split]

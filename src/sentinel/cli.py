@@ -207,9 +207,10 @@ def cmd_detect(args, cfg: dict) -> int:
 def cmd_experiment(args, cfg: dict) -> int:
     sim_config = _sim_config(cfg)
     seeds = cfg.get("seeds", list(evalkit.DEFAULT_SEEDS))
-    if (len(seeds) if args.runs is None else args.runs) < 1:
-        print("error: experiment needs at least one seed (--runs >= 1 or a "
-              "non-empty 'seeds' list)", file=sys.stderr)
+    n_seeds = len(seeds) if args.runs is None else args.runs
+    if not 1 <= n_seeds <= evalkit.MAX_SEEDS:
+        print(f"error: experiment runs 1 to {evalkit.MAX_SEEDS} seeds "
+              f"(--runs or the 'seeds' list), got {n_seeds}", file=sys.stderr)
         return 1
     if args.runs is not None:
         seeds = seeds[:args.runs]

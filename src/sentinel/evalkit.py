@@ -18,6 +18,7 @@ from . import forensics, siem, simkit
 from .events import Alert, GroundTruth, Scenario
 
 DEFAULT_SEEDS = tuple(range(101, 111))
+MAX_SEEDS = 100   # seeds one experiment may simulate
 SWEEP_THETAS = (3.0, 4.0, 5.0, 6.0, 7.0)
 FORENSICS_TRAIN_SEED = 4242
 

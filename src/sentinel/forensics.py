@@ -29,6 +29,7 @@ VOCAB_CAP = 8000
 HOLDOUT_FRACTION = 0.15
 MIN_WORDS = 30          # drop shorter messages before training
 NB_ALPHA = 1.0          # multinomial additive smoothing
+MAX_CORPUS_DOCS = 10_000   # documents a synthetic corpus may hold
 
 
 class TrainingError(ValueError):
@@ -316,6 +317,9 @@ def train_classifier(
     texts = [t for t, _ in kept]
     y = np.array(labels)
     train_idx, test_idx = _stratified_split(labels, HOLDOUT_FRACTION, seed)
+    if len({labels[i] for i in train_idx}) < 2:
+        raise TrainingError("each class needs a training document after the "
+                            "hold-out split takes one or more of each")
 
     vocab = build_vocabulary([_flat_tokens(texts[i]) for i in train_idx], VOCAB_CAP)
     counts = count_matrix(texts, vocab)
@@ -517,8 +521,10 @@ def generate_synthetic_corpus(
 ) -> list[tuple[str, str]]:
     """Deterministic labeled corpus: business-prose ham around the default
     style baseline, and template-derived spam with urgency/credential content."""
-    if n_ham < 1 or n_spam < 1:
-        raise ValueError("need at least one document per class")
+    if n_ham < 1 or n_spam < 1 or n_ham + n_spam > MAX_CORPUS_DOCS:
+        raise ValueError(f"a synthetic corpus needs at least one document "
+                         f"per class and at most {MAX_CORPUS_DOCS} in all, "
+                         f"got n_ham={n_ham}, n_spam={n_spam}")
     rng = substream(seed, "synthetic-corpus")
     base = StyleBaseline()
     corpus: list[tuple[str, str]] = []

@@ -7,8 +7,8 @@ on top (see VariantConfig): CE adds intent (ToM) and email forensics
 evidence; EG adds the precision layers: evidence gating, peer normalization,
 regularity suppression, contradiction checking, and the compliance override.
 
-Each actor's window is read once per step, by summarize(); every layer reads
-the resulting WindowSummary instead of the events. One engine run serves a
+Each actor's WindowSummary changes only when an event enters or leaves its
+window; every layer reads it instead of the events. One engine run serves a
 list of (variant, theta) cells: the feature pass builds each step's evidence
 once, and each cell keeps its own trust, scorer and alerts.
 """
@@ -177,20 +177,31 @@ def update_trust(t: float, outcome: str) -> float:
 
 @dataclass
 class WindowSummary:
-    """What the layers read from one actor's window; step lists keep window
-    order."""
+    """What the layers read from one actor's window, kept up to date by
+    _count(); step lists keep window order."""
     logins: int = 0
-    suspicious_logins: list = field(default_factory=list)   # (step, context)
+    suspicious_logins: deque = field(default_factory=deque)   # (step, context)
     queries: int = 0
-    sensitive_steps: list = field(default_factory=list)
-    export_steps: list = field(default_factory=list)
-    export_volumes: list = field(default_factory=list)
-    export_volume: float = 0.0   # the volumes summed as floats, in order
+    sensitive_steps: deque = field(default_factory=deque)
+    export_steps: deque = field(default_factory=deque)
+    export_volumes: deque = field(default_factory=deque)
+    export_total: int = 0   # the volumes' exact sum
     large_exports: int = 0
-    external_export_steps: list = field(default_factory=list)
-    staging_export_steps: list = field(default_factory=list)
+    external_export_steps: deque = field(default_factory=deque)
+    staging_export_steps: deque = field(default_factory=deque)
     external_emails: int = 0
-    unapproved_email_steps: list = field(default_factory=list)
+    unapproved_email_steps: deque = field(default_factory=deque)
+
+    @property
+    def export_volume(self) -> float:
+        """The volumes summed as floats in window order: exactly the total
+        while it is below 2**53, as volumes are ints in [0, 2**53)."""
+        if self.export_total < 2 ** 53:
+            return float(self.export_total)
+        total = 0.0
+        for v in self.export_volumes:
+            total += v
+        return total
 
     @property
     def peer_volume(self) -> float:
@@ -203,37 +214,45 @@ class WindowSummary:
         return float(sum(sorted(self.export_volumes)[:-2]))
 
 
+def _count(s: WindowSummary, e: Event, approved_domains: frozenset[str],
+           sign: int) -> None:
+    """Count an event in as it enters the window (sign 1) or out as it leaves
+    (-1, always the oldest): which logins are suspicious, which accesses
+    sensitive, which exports large, staged or external, and which emails go
+    outside the approved partner list."""
+    put = deque.append if sign > 0 else lambda steps, _: steps.popleft()
+    p = e.payload
+    if e.kind is ActionKind.LOGIN:
+        s.logins += sign
+        if p["context"] != "normal":
+            put(s.suspicious_logins, (e.step, p["context"]))
+    elif e.kind in (ActionKind.DB_QUERY, ActionKind.FILE_ACCESS):
+        s.queries += sign
+        if p["sensitivity"] == "sensitive":
+            put(s.sensitive_steps, e.step)
+    elif e.kind is ActionKind.FILE_EXPORT:
+        put(s.export_steps, e.step)
+        put(s.export_volumes, p["volume"])
+        s.export_total += sign * p["volume"]
+        if p["volume"] >= 1000:
+            s.large_exports += sign
+        if p["destination"] == "external":
+            put(s.external_export_steps, e.step)
+        elif p["destination"] == "staging":
+            put(s.staging_export_steps, e.step)
+    elif p["recipient_domain"] == "external":
+        s.external_emails += sign
+        # Routine partner mail is not an exfiltration endpoint.
+        if p["recipient"] not in approved_domains:
+            put(s.unapproved_email_steps, e.step)
+
+
 def summarize(window: Sequence[Event],
               approved_domains: frozenset[str]) -> WindowSummary:
-    """One pass over a window, holding every payload rule: which logins are
-    suspicious, which accesses sensitive, which exports large, staged or
-    external, and which emails go outside the approved partner list."""
+    """A whole window's summary: each event counted in, in order."""
     s = WindowSummary()
     for e in window:
-        p = e.payload
-        if e.kind is ActionKind.LOGIN:
-            s.logins += 1
-            if p["context"] != "normal":
-                s.suspicious_logins.append((e.step, p["context"]))
-        elif e.kind in (ActionKind.DB_QUERY, ActionKind.FILE_ACCESS):
-            s.queries += 1
-            if p["sensitivity"] == "sensitive":
-                s.sensitive_steps.append(e.step)
-        elif e.kind is ActionKind.FILE_EXPORT:
-            s.export_steps.append(e.step)
-            s.export_volumes.append(p["volume"])
-            s.export_volume += p["volume"]
-            if p["volume"] >= 1000:
-                s.large_exports += 1
-            if p["destination"] == "external":
-                s.external_export_steps.append(e.step)
-            elif p["destination"] == "staging":
-                s.staging_export_steps.append(e.step)
-        elif p["recipient_domain"] == "external":
-            s.external_emails += 1
-            # Routine partner mail is not an exfiltration endpoint.
-            if p["recipient"] not in approved_domains:
-                s.unapproved_email_steps.append(e.step)
+        _count(s, e, approved_domains, 1)
     return s
 
 
@@ -415,6 +434,7 @@ W_SCORER, SCORER_GATE, SCORER_CAP = 2.0, 0.6, 0.4
 class _ActorState:
     spec: ActorSpec
     window: deque = field(default_factory=deque)
+    summary: WindowSummary = field(default_factory=WindowSummary)   # of window
     ewma: dict = field(default_factory=dict)
     policy_cache: deque = field(default_factory=deque)   # (step, rule ids)
     phishing: deque = field(default_factory=deque)   # (step, {pretrained: p})
@@ -428,7 +448,8 @@ class _ActorState:
 @dataclass
 class _Row:
     """One actor at one step as every cell reads it. The two reads only
-    some decisions need are made once, when first asked for."""
+    some decisions need are made once, when first asked for, within the
+    row's step: the summary is live and changes at the next ingest."""
     features: dict   # Variant -> (evidence before ML, scorer features, after)
     summary: WindowSummary
     forest: Optional[anomaly.IsoForest]   # None: no ML advice
@@ -491,6 +512,7 @@ class SiemEngine:
 
     def _ingest(self, state: _ActorState, event: Event) -> None:
         state.window.append(event)
+        _count(state.summary, event, self.rules.approved_email_domains, 1)
         hits = self.rules.rule_hits(event, state.spec.role)
         if hits:
             state.policy_cache.append((event.step, hits))
@@ -510,7 +532,8 @@ class SiemEngine:
     def _evict(self, state: _ActorState, now: int) -> None:
         horizon = now - WINDOW
         while state.window and state.window[0].step <= horizon:
-            state.window.popleft()
+            _count(state.summary, state.window.popleft(),
+                   self.rules.approved_email_domains, -1)
         while state.policy_cache and state.policy_cache[0][0] <= horizon:
             state.policy_cache.popleft()
         while state.phishing and state.phishing[0][0] <= horizon:
@@ -678,7 +701,7 @@ class SiemEngine:
             warmup_steps: int) -> list[list[Alert]]:
         """Each cell's alerts, in the order the cells were given.
 
-        Each step ingests, summarizes and updates the baselines once. After
+        Each step ingests, evicts and updates the baselines once. After
         the warm-up each actor is correlated once, then every cell decides
         every actor in sorted order: a cell's one scorer learns as it goes.
         """
@@ -699,13 +722,11 @@ class SiemEngine:
         for step in range(total_steps):
             for e in by_step.get(step, ()):
                 self._ingest(self.actors[e.actor_id], e)
-            summaries: dict[str, WindowSummary] = {}
             deviations: dict[str, dict[str, float]] = {}
             for actor_id in actor_ids:
                 state = self.actors[actor_id]
                 self._evict(state, step)
-                summary = summaries[actor_id] = summarize(
-                    state.window, self.rules.approved_email_domains)
+                summary = state.summary
                 rates = {"login_rate": summary.logins / w,
                          "query_rate": summary.queries / w,
                          "export_volume": summary.export_volume / w}
@@ -720,11 +741,11 @@ class SiemEngine:
                     for actor_id in actor_ids:
                         state = self.actors[actor_id]
                         warmup_samples.append(
-                            scorer_features(summaries[actor_id], False, False))
+                            scorer_features(state.summary, False, False))
                         if state.window:
                             warmup_vectors.setdefault(
                                 state.spec.role, []).append(
-                                    anomaly.behavior_vector(summaries[actor_id]))
+                                    anomaly.behavior_vector(state.summary))
                 continue
             if step == warmup_steps:
                 scorer = OnlineScorer()
@@ -743,9 +764,10 @@ class SiemEngine:
                 for actor_id in actor_ids:
                     volumes_by_role.setdefault(
                         self.actors[actor_id].spec.role, {})[actor_id] = \
-                        summaries[actor_id].peer_volume
+                        self.actors[actor_id].summary.peer_volume
             rows = [self.correlate(
-                actor_id, step, summaries[actor_id], deviations[actor_id],
+                actor_id, step, self.actors[actor_id].summary,
+                deviations[actor_id],
                 volumes_by_role.get(self.actors[actor_id].spec.role, {}))
                 for actor_id in actor_ids]
             for cell in self.cells:

@@ -2,7 +2,10 @@
 
 import math
 
+import oracle_engine
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinel import anomaly
 from sentinel.anomaly import (IsoForest, average_path_length, behavior_vector,
@@ -107,3 +110,30 @@ def test_behavior_vector_counts():
     ]
     vec = behavior_vector(summarize(window, frozenset()))
     assert vec == (2.0, 1.0, 1.0, 1.0, 1.0, 400.0, 1.0)
+
+
+_VALUE = st.sampled_from([0.0, 1.0, 2.0, 7.0, 1500.0]) | st.floats(0.0, 1e4)
+
+
+@st.composite
+def forest_samples(draw):
+    """Rows of one to seven dimensions, some of them constant, drawn from a
+    few distinct rows so that duplicates are common; from two rows to more
+    than the default psi of 64."""
+    fixed = [draw(st.none() | _VALUE) for _ in range(draw(st.integers(1, 7)))]
+    distinct = draw(st.lists(st.tuples(*(
+        _VALUE if c is None else st.just(c) for c in fixed)),
+        min_size=1, max_size=40))
+    return draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=90))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(vectors=forest_samples(), seed=st.integers(0, 2**31 - 1),
+       psi=st.sampled_from([2, 5, 64]), t=st.integers(1, 8), data=st.data())
+def test_forest_matches_frozen_builder(vectors, seed, psi, t, data):
+    live = IsoForest.fit(vectors, seed, psi=psi, t=t)
+    frozen = oracle_engine.IsoForest.fit(vectors, seed, psi=psi, t=t)
+    assert live.trees == frozen.trees
+    probe = data.draw(st.tuples(*[_VALUE] * len(vectors[0])))
+    for v in vectors[:4] + [probe]:
+        assert live.score(v) == frozen.score(v)

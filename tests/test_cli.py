@@ -5,12 +5,13 @@ import copy
 import io
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentinel import forensics, simkit
+from sentinel import evalkit, forensics, simkit
 from sentinel.cli import _read_sidecar, _sim_config, main
 from sentinel.events import (ActionKind, Event, GroundTruth, Role, Scenario,
                              parse_event_log, serialize_event_log,
@@ -261,6 +262,26 @@ def test_experiment_rejects_an_empty_seed_run(tmp_path, capsys, seeds, runs):
     assert main(argv + (["--runs", runs] if runs else [])) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert not (tmp_path / "x" / "experiment.csv").exists()
+
+
+@pytest.mark.parametrize("seeds, runs", [
+    ([7], str(evalkit.MAX_SEEDS + 1)),
+    (list(range(1, evalkit.MAX_SEEDS + 2)), None),
+], ids=["runs_past_the_bound", "seeds_past_the_bound"])
+def test_experiment_rejects_more_seeds_than_the_bound(tmp_path, capsys, seeds,
+                                                      runs):
+    config = tmp_path / "seeds.json"
+    config.write_text(json.dumps({"seeds": seeds, "total_steps": 110}))
+    argv = ["--config", str(config), "experiment", "--variants", "lsc",
+            "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    started = time.monotonic()
+    assert main(argv + (["--runs", runs] if runs else [])) == 1
+    assert time.monotonic() - started < 2.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and str(evalkit.MAX_SEEDS) in err[0]
     assert not (tmp_path / "x" / "experiment.csv").exists()
 
 
@@ -549,3 +570,51 @@ def test_inputs_past_the_step_bound_end_at_once(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") \
         and "actor-steps" in err[0]
+
+
+# -- the training corpus bound ------------------------------------------------
+
+@pytest.mark.parametrize("n_ham, n_spam", [
+    (3, 1), (1, 1), (17_000, 3_000), (forensics.MAX_CORPUS_DOCS - 300, 301),
+], ids=["only_spam_held_out", "every_document_held_out", "far_past_the_bound",
+        "one_past_the_bound"])
+def test_forensics_rejects_a_corpus_it_cannot_train_on(tmp_path, capsys,
+                                                       n_ham, n_spam):
+    # One error line and nothing else: no model, no numpy warning.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_ham": n_ham, "n_spam": n_spam}))
+    capsys.readouterr()
+    started = time.monotonic()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(config), "forensics",
+                     "--out", str(tmp_path / "m")]) == 2
+    assert time.monotonic() - started < 2.0
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "m" / "forensics_model.json").exists()
+
+
+def test_forensics_accepts_a_corpus_at_the_bound(tmp_path, monkeypatch,
+                                                 pretrained_model):
+    # Generated, not trained: training 10,000 documents takes seconds, so
+    # short bodies stand in for composed ones and the trained model is the
+    # default one.
+    corpora = []
+
+    def train(corpus):
+        corpora.append(corpus)
+        return pretrained_model
+
+    monkeypatch.setattr(forensics, "compose_body",
+                        lambda *args: "filler " * forensics.MIN_WORDS)
+    monkeypatch.setattr(forensics, "train_classifier", train)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_ham": forensics.MAX_CORPUS_DOCS - 300,
+                                  "n_spam": 300}))
+    assert main(["--config", str(config), "forensics",
+                 "--out", str(tmp_path / "m")]) == 0
+    [corpus] = corpora
+    assert len(corpus) == forensics.MAX_CORPUS_DOCS
+    assert (tmp_path / "m" / "forensics_model.json").exists()

@@ -8,15 +8,17 @@ shared feature pass, the reference one cell at a time. The golden digests
 pin simulator-shaped logs; these logs pin the edges a rewrite is likely to
 break: events leaving the window at its first and last step, several events
 per actor in one step, export volumes on the large-export line, on both
-sides of the plan library's volume limits (500 and 3600) and tied, both
+sides of the plan library's volume limits (500 and 3600) and tied, volumes
+whose window sums pass 2**53 (where float sums round by order), both
 suspicious login contexts in one step, approved, denied and unapproved
 recipients, role peers for peer normalisation, a compliance power user, a
 staged exfiltration chain that opens the gates and the intent layer, and
 mail bodies on the keyword scorer's edges: repeated keywords, phrases split
 by runs of whitespace or a newline, apostrophes, and punctuation inside a
 phrase. The keyword phishing score is also compared with the frozen scorer
-on generated text, and a guard fails if the reference starts to import the
-live ToM, engine or anomaly layers.
+on generated text, each actor's live window summary with a fresh one at
+every step, and a guard fails if the reference starts to import the live
+ToM, engine or anomaly layers.
 """
 
 import ast
@@ -66,7 +68,8 @@ def _payload(kind):
     if kind is ActionKind.FILE_EXPORT:
         return st.fixed_dictionaries({
             "volume": st.sampled_from([0, 300, 500, 501, 999, 1000, 1000,
-                                      3599, 3600, 4000, 10_000])
+                                      3599, 3600, 4000, 10_000, 2**53 - 1,
+                                      2**52])
             | st.integers(0, 6000),
             "resource": st.sampled_from(["crm_db", "shared_drive"]),
             "destination": st.sampled_from(["internal", "external",
@@ -166,6 +169,47 @@ def test_engine_matches_frozen_reference(model, log):
             total, warmup, model=model if name == "eg-pt" else None)
         assert serialize_alert_log(alerts) == \
             serialize_alert_log(expected), (name, theta)
+
+
+class _CheckedEngine(siem.SiemEngine):
+    """Compares each actor's live summary, after every eviction, with one
+    summarized afresh from its window, and its export volume with the
+    window's volumes summed as floats in order."""
+
+    def _evict(self, state, now):
+        super()._evict(state, now)
+        assert state.summary == siem.summarize(
+            state.window, self.rules.approved_email_domains)
+        in_order = 0.0
+        for e in state.window:
+            if e.kind is ActionKind.FILE_EXPORT:
+                in_order += e.payload["volume"]
+        assert state.summary.export_volume == in_order, (now, state.window)
+
+
+@st.composite
+def big_volume_logs(draw):
+    """A log from logs() plus exports whose window sums pass 2**53, with odd
+    volumes after them, where a sum rounded once differs from one rounded
+    after every addition."""
+    events, total, warmup = draw(logs())
+    events += [Event(step, actor, ActionKind.FILE_EXPORT,
+                     {"volume": volume, "resource": "crm_db",
+                      "destination": "internal"})
+               for step, actor, volume in draw(st.lists(st.tuples(
+                   st.integers(0, total - 1), st.sampled_from(ACTORS[:2]),
+                   st.sampled_from([2**53 - 1, 2**52, 2**52 + 1, 1, 501])),
+                   min_size=4, max_size=24))]
+    events.sort(key=lambda e: e.step)
+    return events, total, warmup
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(log=big_volume_logs())
+def test_live_window_summary_matches_a_fresh_summary(log):
+    events, total, warmup = log
+    _CheckedEngine([siem.VariantConfig("lsc")], ROSTER, MALICIOUS, 11).run(
+        events, total, warmup)
 
 
 _WORDS = (forensics.SENSITIVE_KEYWORDS + forensics.URGENT_KEYWORDS

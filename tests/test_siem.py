@@ -409,3 +409,14 @@ def test_alerts_read_no_truth_from_the_roster(short_log, short_log_alerts,
                                        max_size=len(roster)))))
     assert _alert_bytes(scrambled, events, malicious, pretrained_model) \
         == short_log_alerts
+
+
+def test_engine_never_rescans_a_window(short_log, short_log_alerts,
+                                       pretrained_model, monkeypatch):
+    # Each actor's summary changes only as events enter and leave its
+    # window, so a full-window summarize() at some step fails this test.
+    def rescan(window, approved_domains):
+        raise AssertionError("the engine summarized a whole window")
+
+    monkeypatch.setattr(siem, "summarize", rescan)
+    assert _alert_bytes(*short_log, pretrained_model) == short_log_alerts
