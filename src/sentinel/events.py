@@ -8,6 +8,7 @@ field order, so identical logs are byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -60,6 +61,9 @@ _PAYLOAD_FIELDS = {
     ActionKind.EMAIL_SEND: ("recipient_domain", "recipient", "body"),
 }
 
+_FIELD_SETS = {kind: frozenset(fields) for kind, fields in _PAYLOAD_FIELDS.items()}
+_KINDS = {kind.value: kind for kind in ActionKind}
+
 _LOGIN_CONTEXTS = {"normal", "after_hours", "new_location"}
 _DESTINATIONS = {"internal", "external", "staging"}
 _SENSITIVITIES = {"normal", "sensitive"}
@@ -85,13 +89,15 @@ class Event:
 
 def validate_payload(kind: ActionKind, payload: dict) -> None:
     fields = _PAYLOAD_FIELDS[kind]
-    missing = [f for f in fields if f not in payload]
-    extra = [f for f in payload if f not in fields]
-    if missing or extra:
-        raise ValueError(
-            f"payload for {kind.value} must have fields {fields}; "
-            f"missing={missing} extra={extra}"
-        )
+    # The lists only word the error; a dict with the right keys skips them.
+    if not isinstance(payload, dict) or payload.keys() != _FIELD_SETS[kind]:
+        missing = [f for f in fields if f not in payload]
+        extra = [f for f in payload if f not in fields]
+        if missing or extra:
+            raise ValueError(
+                f"payload for {kind.value} must have fields {fields}; "
+                f"missing={missing} extra={extra}"
+            )
     for name in ("resource", "recipient", "body"):
         if name in payload and not isinstance(payload[name], str):
             raise ValueError(f"{kind.value} {name} must be a string")
@@ -176,29 +182,45 @@ def serialize_event_log(events: Sequence[Event]) -> bytes:
     return "".join(event_to_json(e) + "\n" for e in events).encode("utf-8")
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*").match   # JSON's own whitespace
+_JSON = json.JSONDecoder()
+
+
+def _json_line(line: str):
+    """``json.loads(line)``, with its error messages, minus its wrappers."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj, end = _JSON.raw_decode(line, _JSON_SPACE(line).end())
+    if (end := _JSON_SPACE(line, end).end()) != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
 def parse_event_log(stream: bytes) -> list[Event]:
     """Inverse of serialize_event_log; rejects malformed or non-monotone logs.
-    Any bytes give events or a LogFormatError."""
+    Any bytes give events or a LogFormatError. Lines end at "\n" only: JSON
+    strings may hold U+2028, U+2029 and U+0085 raw, and a "\r" before the
+    "\n" is JSON whitespace."""
     events: list[Event] = []
     last_step = -1
     try:
         text = stream.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"log is not UTF-8: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_line(line)
         except (ValueError, RecursionError) as exc:   # RecursionError: too deep
             raise LogFormatError(f"line {lineno}: malformed JSON "
                                  f"({getattr(exc, 'msg', exc)})") from exc
-        try:
-            kind = ActionKind(obj["kind"])
-        except ValueError:
-            raise LogFormatError(f"line {lineno}: unknown kind {obj.get('kind')!r}") from None
-        except (KeyError, TypeError):
-            raise LogFormatError(f"line {lineno}: missing 'kind' field") from None
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise LogFormatError(f"line {lineno}: missing 'kind' field")
+        kind = _KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+        if kind is None:
+            raise LogFormatError(f"line {lineno}: unknown kind {obj['kind']!r}")
         try:
             event = Event(step=obj["step"], actor_id=obj["actor_id"],
                           kind=kind, payload=obj["payload"])

@@ -21,9 +21,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, partial
 from importlib import resources
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import anomaly, forensics, tom
 from .events import (ActionKind, Alert, Event, Evidence, EvidenceKind, Role)
@@ -121,24 +123,28 @@ EWMA_VOL_SCALE = 300.0   # typical export size for the variance floor
 
 @dataclass(frozen=True)
 class EwmaState:
-    mean: float = 0.0
-    var: float = 0.0
+    """One baseline, or equal-shape arrays of them updated element-wise."""
+    mean: float | np.ndarray = 0.0
+    var: float | np.ndarray = 0.0
     alpha: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.var < 0:
+        if np.any(self.var < 0):
             raise ValueError("variance must be >= 0")
 
 
-def ewma_update(state: EwmaState, x: float,
-                eps: float = EWMA_EPS) -> tuple[EwmaState, float]:
-    """One observation: deviation against the old state, then the update."""
-    deviation = max(0.0, (x - state.mean) / math.sqrt(state.var + eps))
+def ewma_update(state: EwmaState, x: float | np.ndarray,
+                eps: float | np.ndarray = EWMA_EPS
+                ) -> tuple[EwmaState, float | np.ndarray]:
+    """One observation: deviation against the old state, then the update,
+    element-wise. The square is libm's pow, as Python's ``**`` takes it;
+    numpy's ``**`` multiplies, which can differ in the last bit."""
+    deviation = np.maximum(0.0, (x - state.mean) / np.sqrt(state.var + eps))
     a = state.alpha
     mean = (1.0 - a) * state.mean + a * x
-    var = (1.0 - a) * (state.var + a * (x - state.mean) ** 2)
+    var = (1.0 - a) * (state.var + a * np.float_power(x - state.mean, 2))
     return EwmaState(mean=mean, var=var, alpha=a), deviation
 
 
@@ -435,14 +441,14 @@ class _ActorState:
     spec: ActorSpec
     window: deque = field(default_factory=deque)
     summary: WindowSummary = field(default_factory=WindowSummary)   # of window
-    ewma: dict = field(default_factory=dict)
     policy_cache: deque = field(default_factory=deque)   # (step, rule ids)
     phishing: deque = field(default_factory=deque)   # (step, {pretrained: p})
     # The window's events that match some plan element, their element masks,
-    # and the hypotheses abduced from them (None once either deque changes).
+    # and the hypotheses abduced from them by gating kind, contradicted ones
+    # dropped for gating (None once either deque changes).
     tom: deque = field(default_factory=deque)
     tom_masks: deque = field(default_factory=deque)
-    hypotheses: Optional[list] = None
+    hypotheses: Optional[dict] = None
 
 
 @dataclass
@@ -452,11 +458,12 @@ class _Row:
     row's step: the summary is live and changes at the next ingest."""
     features: dict   # Variant -> (evidence before ML, scorer features, after)
     summary: WindowSummary
-    forest: Optional[anomaly.IsoForest]   # None: no ML advice
+    # The role's forest, fitted on the first call; None: no ML advice.
+    forest: Optional[Callable[[], anomaly.IsoForest]]
 
     @cached_property
     def forest_score(self) -> float:
-        return self.forest.score(anomaly.behavior_vector(self.summary))
+        return self.forest().score(anomaly.behavior_vector(self.summary))
 
     @cached_property
     def window_gates(self) -> tuple[str, ...]:
@@ -505,14 +512,17 @@ class SiemEngine:
         self.model = model
         self.seed = seed
         self.malicious = frozenset(malicious_actors)
-        self.actors = {a.actor_id: _ActorState(spec=a, ewma=dict.fromkeys(
-            EWMA_METRICS, EwmaState())) for a in roster}
+        self.actors = {a.actor_id: _ActorState(spec=a) for a in roster}
         self.cells = [_Cell(c, dict.fromkeys(ids, TRUST_INIT)) for c in cells]
-        self.forests: dict[Role, anomaly.IsoForest] = {}
+        self.forests: dict[Role, Callable[[], anomaly.IsoForest]] = {}
 
-    def _ingest(self, state: _ActorState, event: Event) -> None:
+    def _ingest(self, state: _ActorState, event: Event, read: bool) -> None:
+        """Count the event in and, unless it leaves the window before the
+        first correlate() (not ``read``), its rule hits, mask and scores."""
         state.window.append(event)
         _count(state.summary, event, self.rules.approved_email_domains, 1)
+        if not read:
+            return
         hits = self.rules.rule_hits(event, state.spec.role)
         if hits:
             state.policy_cache.append((event.step, hits))
@@ -543,30 +553,18 @@ class SiemEngine:
             state.tom_masks.popleft()
             state.hypotheses = None
 
-    def _metric_eps(self, metric: str, mean: float) -> float:
-        """Variance floor for a windowed rate.
-
-        Count rates over a window of W steps scatter like Poisson counts, so
-        their variance is at least mean / W even when the smoothed EWMA
-        variance has collapsed; export volume scales that by a typical
-        export size.
-        """
-        floor = max(0.0, mean) / WINDOW
-        if metric == "export_volume":
-            floor *= EWMA_VOL_SCALE
-        return EWMA_EPS + floor
-
     # -- feature pass -----------------------------------------------------
 
     def correlate(self, actor_id: str, step: int, summary: WindowSummary,
-                  deviations: Mapping[str, float],
+                  deviations: Sequence[float],
                   role_volumes: Mapping[str, float]) -> _Row:
         """One actor's evidence at one step for every requested variant,
         all but the ML-anomaly item, which reads each cell's own scorer.
         Nothing here depends on theta or trust.
 
-        ``role_volumes`` maps the actor and its role peers to their peer
-        volumes; only gating variants read it.
+        ``deviations`` are the actor's EWMA deviations in EWMA_METRICS
+        order. ``role_volumes`` maps the actor and its role peers to their
+        peer volumes; only gating variants read it.
         """
         state = self.actors[actor_id]
         rules_seen: dict[str, int] = {}
@@ -578,9 +576,9 @@ class SiemEngine:
                   for rule, s in sorted(rules_seen.items())]
 
         # Only the strongest metric contributes: one behavioral anomaly score
-        # per actor, not one per metric.
-        top_metric = max(EWMA_METRICS, key=lambda m: deviations[m])
-        dev = deviations[top_metric]
+        # per actor, not one per metric; the first one on a tie.
+        dev = max(deviations)
+        top_metric = EWMA_METRICS[deviations.index(dev)]
         reg_mult = 1.0
         if self.variant.gating and dev >= D_MIN:
             reg_mult = regularity_suppression(summary.export_steps)
@@ -606,15 +604,18 @@ class SiemEngine:
         intent = {}
         if self.variant.forensics and state.tom:
             if state.hypotheses is None:
-                state.hypotheses = tom.abduce(state.tom, state.tom_masks,
-                                              self.library)
-            hyps = state.hypotheses
-            for gating in self._tom_kinds:
-                live = [h for h in hyps if not tom.check_contradiction(
-                    h, hyps, state.spec.compliance)] if gating else hyps
-                intent[gating] = tom.tom_evidence(live, step)
+                hyps = tom.abduce(state.tom, state.tom_masks, self.library)
+                state.hypotheses = {gating: [
+                    h for h in hyps if not tom.check_contradiction(
+                        h, hyps, state.spec.compliance)] if gating else hyps
+                    for gating in self._tom_kinds}
+            intent = {gating: tom.tom_evidence(live, step)
+                      for gating, live in state.hypotheses.items()}
         peer = []
-        if self.variant.gating:
+        # Peer volumes are int sums >= 0, so are their median and MAD, and
+        # z <= volume / PEER_EPS: below PEER_Z_MIN * PEER_EPS, z < PEER_Z_MIN.
+        if self.variant.gating \
+                and role_volumes[actor_id] >= PEER_Z_MIN * PEER_EPS:
             peers = [v for other, v in role_volumes.items() if other != actor_id]
             peer_ev = peer_normalize(role_volumes[actor_id], peers, step)
             peer = [peer_ev] if peer_ev is not None else []
@@ -719,22 +720,28 @@ class SiemEngine:
         warmup_samples: list[tuple[float, ...]] = []
         warmup_vectors: dict[Role, list[tuple[float, ...]]] = {}
 
+        # The baselines of every actor (rows, in actor_ids order) and
+        # metric (columns, in EWMA_METRICS order), updated once per step.
+        baselines = EwmaState(mean=np.zeros((len(actor_ids), 3)),
+                              var=np.zeros((len(actor_ids), 3)))
+        # Count rates over a window of W steps scatter like Poisson counts,
+        # so their variance is at least mean / W even when the smoothed
+        # variance has collapsed; export volume scales that by a typical
+        # export size.
+        floor_scale = np.array([1.0, 1.0, EWMA_VOL_SCALE])
+
         for step in range(total_steps):
             for e in by_step.get(step, ()):
-                self._ingest(self.actors[e.actor_id], e)
-            deviations: dict[str, dict[str, float]] = {}
+                self._ingest(self.actors[e.actor_id], e,
+                             step > warmup_steps - WINDOW)
             for actor_id in actor_ids:
-                state = self.actors[actor_id]
-                self._evict(state, step)
-                summary = state.summary
-                rates = {"login_rate": summary.logins / w,
-                         "query_rate": summary.queries / w,
-                         "export_volume": summary.export_volume / w}
-                devs = deviations[actor_id] = {}
-                for metric in EWMA_METRICS:
-                    eps = self._metric_eps(metric, state.ewma[metric].mean)
-                    state.ewma[metric], devs[metric] = ewma_update(
-                        state.ewma[metric], rates[metric], eps)
+                self._evict(self.actors[actor_id], step)
+            rates = np.array([(s.logins, s.queries, s.export_volume) for s in (
+                self.actors[a].summary for a in actor_ids)],
+                dtype=float).reshape(-1, 3) / w
+            eps = EWMA_EPS + np.maximum(0.0, baselines.mean) / WINDOW \
+                * floor_scale
+            baselines, deviations = ewma_update(baselines, rates, eps)
 
             if step < warmup_steps:
                 if step % SAMPLE_EVERY == 0 and step > 0:
@@ -754,10 +761,11 @@ class SiemEngine:
                     cell.scorer = copy.deepcopy(scorer)
                 for role, vectors in sorted(warmup_vectors.items()):
                     if len(vectors) >= 2:
-                        self.forests[role] = anomaly.IsoForest.fit(
-                            vectors, seed=substream(
+                        # Fitted when a decision first reads its score.
+                        self.forests[role] = cache(partial(
+                            anomaly.IsoForest.fit, vectors, seed=substream(
                                 self.seed, "forest", role.value).next_u64()
-                            & 0x7FFFFFFF)
+                            & 0x7FFFFFFF))
 
             volumes_by_role: dict[Role, dict[str, float]] = {}
             if self.variant.gating:
@@ -766,10 +774,9 @@ class SiemEngine:
                         self.actors[actor_id].spec.role, {})[actor_id] = \
                         self.actors[actor_id].summary.peer_volume
             rows = [self.correlate(
-                actor_id, step, self.actors[actor_id].summary,
-                deviations[actor_id],
+                actor_id, step, self.actors[actor_id].summary, devs,
                 volumes_by_role.get(self.actors[actor_id].spec.role, {}))
-                for actor_id in actor_ids]
+                for actor_id, devs in zip(actor_ids, deviations.tolist())]
             for cell in self.cells:
                 for actor_id, row in zip(actor_ids, rows):
                     self._decide(cell, actor_id, step, row)

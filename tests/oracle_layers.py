@@ -1,4 +1,4 @@
-"""Frozen ToM and keyword-scoring layers for the reference engine.
+"""Frozen ToM, keyword-scoring and log-reading layers for reference tests.
 
 ``oracle_engine`` imports this module as both its ``tom`` and its
 ``forensics`` layer. The first part is a verbatim copy of ``sentinel.tom``
@@ -6,10 +6,16 @@ as it stood before intent inference was simplified; the only edit is that
 ``.events`` became ``sentinel.events``. The second part is a verbatim copy of
 the keyword phishing scorer of ``sentinel.forensics`` from the same commit:
 the keyword lists, ``tokenize``, ``count_keyword_hits`` and
-``keyword_phishing_score``. Neither part is ever optimised or simplified, so
-a rewrite of intent inference or phishing scoring is compared with the code
-it replaces. Both parts read the bundled data files (the plan library and
-the keyword lists) from ``sentinel.data``. ``PretrainedModel`` is the one
+``keyword_phishing_score``. The third part is the event log reader of
+``sentinel.events`` as it stood before it decoded lines with the JSON
+scanner directly: ``parse_event_log``, ``validate_payload`` and the checks of
+``Event.__post_init__``. Its one edit is that those checks run before the
+live ``Event`` is built, outside the ``try``, so a live check that rejects
+what the frozen one accepts raises instead of matching the frozen error.
+None of the parts is ever optimised or simplified, so a rewrite of intent
+inference, phishing scoring or log reading is compared with the code it
+replaces. The first two parts read the bundled data files (the plan library
+and the keyword lists) from ``sentinel.data``. ``PretrainedModel`` is the one
 name re-exported from the live ``sentinel.forensics``: the reference engine
 only passes a trained model through to it.
 """
@@ -276,3 +282,106 @@ def keyword_phishing_score(body: str) -> float:
     u = count_keyword_hits(body, URGENT_KEYWORDS)
     return min(1.0, 0.18 * s + 0.22 * u)
 
+
+
+# ---------------------------------------------------------------------------
+# Event log reader (from ``sentinel.events``)
+
+from sentinel.events import LogFormatError
+
+# Payload field order per kind; also doubles as the schema for validation.
+_PAYLOAD_FIELDS = {
+    ActionKind.LOGIN: ("context",),
+    ActionKind.DB_QUERY: ("resource", "sensitivity"),
+    ActionKind.FILE_ACCESS: ("resource", "sensitivity"),
+    ActionKind.FILE_EXPORT: ("volume", "resource", "destination"),
+    ActionKind.EMAIL_SEND: ("recipient_domain", "recipient", "body"),
+}
+
+_LOGIN_CONTEXTS = {"normal", "after_hours", "new_location"}
+_DESTINATIONS = {"internal", "external", "staging"}
+_SENSITIVITIES = {"normal", "sensitive"}
+_DOMAINS = {"internal", "external"}
+
+
+def _check_event(step, actor_id, kind, payload):
+    """``Event.__post_init__``."""
+    if isinstance(step, bool) or not isinstance(step, int):
+        raise ValueError(f"step must be an int, not {step!r}")
+    if step < 0:
+        raise ValueError(f"negative step {step}")
+    if not isinstance(actor_id, str):
+        raise ValueError(f"actor_id must be a string: {actor_id!r}")
+    validate_payload(kind, payload)
+
+
+def validate_payload(kind: ActionKind, payload: dict) -> None:
+    fields = _PAYLOAD_FIELDS[kind]
+    missing = [f for f in fields if f not in payload]
+    extra = [f for f in payload if f not in fields]
+    if missing or extra:
+        raise ValueError(
+            f"payload for {kind.value} must have fields {fields}; "
+            f"missing={missing} extra={extra}"
+        )
+    for name in ("resource", "recipient", "body"):
+        if name in payload and not isinstance(payload[name], str):
+            raise ValueError(f"{kind.value} {name} must be a string")
+    if kind is ActionKind.LOGIN and payload["context"] not in _LOGIN_CONTEXTS:
+        raise ValueError(f"unknown login context {payload['context']!r}")
+    if kind in (ActionKind.DB_QUERY, ActionKind.FILE_ACCESS):
+        if payload["sensitivity"] not in _SENSITIVITIES:
+            raise ValueError(f"unknown sensitivity {payload['sensitivity']!r}")
+    if kind is ActionKind.FILE_EXPORT:
+        if payload["destination"] not in _DESTINATIONS:
+            raise ValueError(f"unknown destination {payload['destination']!r}")
+        # type(), not isinstance(): a bool is an int but not a volume. The
+        # engine sums volumes as floats, which hold every int below 2**53.
+        if type(payload["volume"]) is not int \
+                or not 0 <= payload["volume"] < 2 ** 53:
+            raise ValueError("export volume must be an int in [0, 2**53)")
+    if kind is ActionKind.EMAIL_SEND:
+        if payload["recipient_domain"] not in _DOMAINS:
+            raise ValueError(
+                f"unknown recipient_domain {payload['recipient_domain']!r}"
+            )
+
+
+def parse_event_log(stream: bytes) -> list[Event]:
+    """Inverse of serialize_event_log; rejects malformed or non-monotone logs.
+    Any bytes give events or a LogFormatError."""
+    events: list[Event] = []
+    last_step = -1
+    try:
+        text = stream.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"log is not UTF-8: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:   # RecursionError: too deep
+            raise LogFormatError(f"line {lineno}: malformed JSON "
+                                 f"({getattr(exc, 'msg', exc)})") from exc
+        try:
+            kind = ActionKind(obj["kind"])
+        except ValueError:
+            raise LogFormatError(f"line {lineno}: unknown kind {obj.get('kind')!r}") from None
+        except (KeyError, TypeError):
+            raise LogFormatError(f"line {lineno}: missing 'kind' field") from None
+        try:
+            _check_event(step=obj["step"], actor_id=obj["actor_id"],
+                         kind=kind, payload=obj["payload"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogFormatError(f"line {lineno}: {exc}") from exc
+        event = Event(step=obj["step"], actor_id=obj["actor_id"], kind=kind,
+                      payload=obj["payload"])
+        if event.step < last_step:
+            raise LogFormatError(
+                f"line {lineno}: step {event.step} after step {last_step} "
+                "(log must be step-ordered)"
+            )
+        last_step = event.step
+        events.append(event)
+    return events

@@ -15,10 +15,13 @@ recipients, role peers for peer normalisation, a compliance power user, a
 staged exfiltration chain that opens the gates and the intent layer, and
 mail bodies on the keyword scorer's edges: repeated keywords, phrases split
 by runs of whitespace or a newline, apostrophes, and punctuation inside a
-phrase. The keyword phishing score is also compared with the frozen scorer
-on generated text, each actor's live window summary with a fresh one at
-every step, and a guard fails if the reference starts to import the live
-ToM, engine or anomaly layers.
+phrase. Warm-ups run past the window length, with policy hits, plan-matching
+events and mail on both sides of the last step whose events leave the window
+before the first decision. The keyword phishing score is also compared with
+the frozen scorer on generated text, each actor's live window summary with a
+fresh one at every step, each role forest fitted on first read with one
+fitted at once from a fresh warm-up sample, and a guard fails if the
+reference starts to import the live ToM, engine or anomaly layers.
 """
 
 import ast
@@ -29,8 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentinel import forensics, siem
+from sentinel import anomaly, forensics, siem
 from sentinel.events import ActionKind, Event, Role, serialize_alert_log
+from sentinel.rng import substream
 from sentinel.simkit import ActorSpec
 
 ROSTER = [ActorSpec(f"u00{i}", Role.STAFF, malicious=i == 2)
@@ -108,8 +112,9 @@ def _chain(actor, t, staged, volume, resource, recipient, out_volume):
 @st.composite
 def logs(draw):
     """(events, total_steps, warmup_steps) for a short, valid log."""
-    total = draw(st.integers(WINDOW + 6, WINDOW + 16))
-    warmup = draw(st.integers(5, 12))
+    warmup = draw(st.integers(5, WINDOW + 8))
+    total = draw(st.integers(max(WINDOW, warmup) + 6,
+                             max(WINDOW, warmup) + 16))
     # A post-warm-up step whose window just lost the events at s - 20 and
     # still holds those at s - 19.
     s = draw(st.integers(WINDOW, total - 1))
@@ -142,6 +147,21 @@ def logs(draw):
     events += [Event(tied, a, ActionKind.FILE_EXPORT,
                      {"volume": 1000, "resource": "crm_db",
                       "destination": "external"}) for a in ACTORS[:2]]
+    # Events at or before warmup - WINDOW leave the window before the first
+    # decision; those after it stay for it. Put a denied sensitive read, an
+    # after-hours login and phishing mail to a denied domain (policy hits,
+    # plan-library matches and a phishing score) on both sides.
+    edge_actor = draw(st.sampled_from(ACTORS))
+    for step in (warmup - WINDOW, warmup - WINDOW + 1):
+        if step >= 0:
+            events += [
+                Event(step, edge_actor, ActionKind.DB_QUERY,
+                      {"resource": "hr_records", "sensitivity": "sensitive"}),
+                Event(step, edge_actor, ActionKind.LOGIN,
+                      {"context": "after_hours"}),
+                Event(step, edge_actor, ActionKind.EMAIL_SEND,
+                      {"recipient_domain": "external",
+                       "recipient": "darkpartner.example", "body": BODIES[1]})]
     events.sort(key=lambda e: e.step)   # stable: same-step order is kept
     return events, total, warmup
 
@@ -210,6 +230,41 @@ def test_live_window_summary_matches_a_fresh_summary(log):
     events, total, warmup = log
     _CheckedEngine([siem.VariantConfig("lsc")], ROSTER, MALICIOUS, 11).run(
         events, total, warmup)
+
+
+def _warmup_vectors(events, warmup):
+    """Each role's warm-up forest sample, from windows summarized afresh."""
+    approved = siem.PolicyRules.bundled().approved_email_domains
+    roles = {a.actor_id: a.role for a in ROSTER}
+    vectors = {}
+    for step in range(siem.SAMPLE_EVERY, warmup, siem.SAMPLE_EVERY):
+        for actor in sorted(roles):
+            window = [e for e in events if e.actor_id == actor
+                      and step - WINDOW < e.step <= step]
+            if window:
+                vectors.setdefault(roles[actor], []).append(
+                    anomaly.behavior_vector(siem.summarize(window, approved)))
+    return vectors
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(log=logs())
+def test_forests_fitted_on_first_read_equal_eager_fits(log):
+    events, total, warmup = log
+    engine = siem.SiemEngine([siem.VariantConfig(v, theta_base=3.0)
+                              for v in ("lsc", "eg")], ROSTER, MALICIOUS, 11)
+    engine.run(events, total, warmup)
+    vectors = _warmup_vectors(events, warmup)
+    assert set(engine.forests) == {role for role, sample in vectors.items()
+                                   if len(sample) >= 2}
+    for role, fit in engine.forests.items():
+        eager = anomaly.IsoForest.fit(vectors[role], seed=substream(
+            11, "forest", role.value).next_u64() & 0x7FFFFFFF)
+        lazy = fit()
+        assert lazy is fit()   # fitted once
+        assert lazy.trees == eager.trees
+        assert [lazy.score(v) for v in vectors[role]] == \
+            [eager.score(v) for v in vectors[role]]
 
 
 _WORDS = (forensics.SENSITIVE_KEYWORDS + forensics.URGENT_KEYWORDS

@@ -168,7 +168,9 @@ def test_run_experiment_simulates_each_seed_once(monkeypatch):
 
 def test_run_experiment_shares_one_feature_pass_per_seed(monkeypatch):
     # The LSC matrix and sweep cells of one seed share one engine run: one
-    # warm-up scorer fit and one forest per role, not one per cell.
+    # warm-up scorer fit, not one per cell. A role's forest is fitted when a
+    # decision first reads its score, so no role is fitted twice and the
+    # forests fitted are exactly those scored.
     config = simkit.SimConfig(total_steps=110)
     log = simkit.run_simulation(config, 7)
     monkeypatch.setattr(simkit, "run_simulation", lambda cfg, seed: log)
@@ -183,10 +185,23 @@ def test_run_experiment_shares_one_feature_pass_per_seed(monkeypatch):
                         counting("run", siem.SiemEngine.run))
     monkeypatch.setattr(siem.OnlineScorer, "warmup_fit", counting(
         "warmup_fit", siem.OnlineScorer.warmup_fit))
-    monkeypatch.setattr(anomaly.IsoForest, "fit", classmethod(
-        counting("fit", anomaly.IsoForest.fit.__func__)))
+    fitted, seeds, scored = [], [], set()
+    fit, score = anomaly.IsoForest.fit.__func__, anomaly.IsoForest.score
+
+    def recording_fit(cls, vectors, seed, *args, **kwargs):
+        seeds.append(seed)   # one substream seed per role
+        fitted.append(fit(cls, vectors, seed, *args, **kwargs))
+        return fitted[-1]
+
+    def recording_score(forest, v):
+        scored.add(id(forest))
+        return score(forest, v)
+    monkeypatch.setattr(anomaly.IsoForest, "fit", classmethod(recording_fit))
+    monkeypatch.setattr(anomaly.IsoForest, "score", recording_score)
     matrix, sweep = run_experiment(variants=("lsc",), seeds=(7,),
                                    sim_config=config, sweep=True)
     roles = {a.role for a in log.roster}
-    assert dict(calls) == {"run": 1, "warmup_fit": 1, "fit": len(roles)}
+    assert dict(calls) == {"run": 1, "warmup_fit": 1}
+    assert len(set(seeds)) == len(seeds) <= len(roles)
+    assert scored and {id(forest) for forest in fitted} == scored
     assert len(matrix) == 2 and len(sweep) == 2 * len(SWEEP_THETAS)

@@ -1,5 +1,8 @@
 """Data model validation and the JSONL interchange format."""
 
+import json
+
+import oracle_layers
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -70,6 +73,129 @@ def test_parse_any_bytes_gives_events_or_log_format_error(data):
     except LogFormatError:
         return
     assert all(isinstance(e, Event) for e in events)
+
+
+# -- the reader against its frozen copy ------------------------------------
+
+# Characters str.splitlines() breaks at and "\n"-only splitting does not: a
+# line holding one is read differently by design, so no drawn line has one.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+_VALID_LINES = [json.dumps(obj, separators=(",", ":")) for obj in (
+    {"step": 0, "actor_id": "u001", "kind": "login",
+     "payload": {"context": "normal"}},
+    {"step": 1, "actor_id": "u002", "kind": "db_query",
+     "payload": {"resource": "crm_db", "sensitivity": "sensitive"}},
+    {"step": 1, "actor_id": "u001", "kind": "file_export",
+     "payload": {"volume": 1000, "resource": "crm_db",
+                 "destination": "external"}},
+    {"step": 2, "actor_id": "u003", "kind": "email_send",
+     "payload": {"recipient_domain": "external", "recipient": "x.example",
+                 "body": "urgent: verify now"}},
+    {"step": 3, "actor_id": "u002", "kind": "file_access",
+     "payload": {"resource": "wiki", "sensitivity": "normal"}})]
+
+_PAYLOADS = ("null", "[]", '["context"]', '["volume","resource"]', '"context"',
+             '"x"', "1", "true", "{}", '{"context":null}', '{"context":[1]}',
+             '{"volume":true,"resource":"crm_db","destination":"internal"}')
+_STEPS = ("true", "false", "null", "-1", "1.0", '"3"', "[3]", "1" * 5000)
+_KIND_VALUES = ('"teleport"', "null", "1", '["login"]', '{"a":1}', '"LOGIN"')
+# JSON whitespace, and whitespace str.strip() drops but JSON does not allow.
+_SPACES = (" ", "\t", "  \t", "\x1f", "\xa0", "\u3000")
+
+
+def _replace(line, key, value):
+    """``line`` with the value of its top-level ``key`` swapped for the
+    JSON text ``value``."""
+    obj = json.loads(line)
+    obj[key] = "\0"
+    return json.dumps(obj, separators=(",", ":")).replace('"\\u0000"', value)
+
+
+def _nested(depth, inner):
+    return "[" * depth + inner + "]" * depth
+
+
+@st.composite
+def _mutated_line(draw):
+    line = draw(st.sampled_from(_VALID_LINES))
+    how = draw(st.sampled_from(
+        ["truncate", "extra", "twice", "bom", "space", "payload", "step",
+         "kind", "drop_key", "deep", "text"]))
+    if how == "truncate":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if how == "extra":
+        return line + draw(st.sampled_from(["x", " 1", "}", ",", "]", " {}"]))
+    if how == "twice":
+        return line + draw(st.sampled_from(["", " ", "\t"])) + line
+    if how == "bom":
+        return draw(st.sampled_from(["", " "])) + "\ufeff" + line
+    if how == "space":
+        return draw(st.sampled_from(("",) + _SPACES)) + line + draw(
+            st.sampled_from(("", "\r") + _SPACES))
+    if how == "payload":
+        return _replace(line, "payload", draw(st.sampled_from(_PAYLOADS)))
+    if how == "step":
+        return _replace(line, "step", draw(st.sampled_from(_STEPS)))
+    if how == "kind":
+        return _replace(line, "kind", draw(st.sampled_from(_KIND_VALUES)))
+    if how == "drop_key":
+        obj = json.loads(line)
+        del obj[draw(st.sampled_from(sorted(obj)))]
+        return json.dumps(obj, separators=(",", ":"))
+    if how == "deep":
+        # Far below or far past the recursion limit: near it, whether the
+        # scanner fails depends on how deep the caller's stack already is.
+        depth = draw(st.sampled_from([1, 2, 40, 100_000]))
+        key = draw(st.sampled_from(["payload", "step", None]))
+        return _nested(depth, line) if key is None else _replace(
+            line, key, _nested(depth, "{}"))
+    return draw(st.text(st.characters(blacklist_characters=_LINE_BREAKS + "\n",
+                                      blacklist_categories=("Cs",)),
+                        max_size=60))
+
+
+@given(lines=st.lists(st.sampled_from(_VALID_LINES) | _mutated_line()
+                      | st.sampled_from(["", "  "]), min_size=1, max_size=6))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_reader_matches_frozen_reader(lines):
+    # Equal events, or a LogFormatError with the same text. A "\r" ends only
+    # whole lines: inside a cut-off string it is a control character to the
+    # reader but a line break the frozen reader drops.
+    assert not any(c in line for line in lines for c in _LINE_BREAKS + "\n"
+                   if not (c == "\r" and line.endswith("}\r")))
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+
+    def outcome(parse):
+        try:
+            return parse(data)
+        except LogFormatError as exc:
+            return str(exc)
+    assert outcome(parse_event_log) == outcome(oracle_layers.parse_event_log)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_raw_line_separator_in_a_body_round_trips(char):
+    # JSON allows these raw inside a string; str.splitlines() breaks at them.
+    event = Event(4, "u001", ActionKind.EMAIL_SEND,
+                  {"recipient_domain": "external", "recipient": "x.example",
+                   "body": f"first{char}second"})
+    raw = json.dumps({"step": 4, "actor_id": "u001", "kind": "email_send",
+                      "payload": event.payload}, ensure_ascii=False)
+    assert char in raw
+    assert parse_event_log(raw.encode("utf-8") + b"\n") == [event]
+    assert parse_event_log(serialize_event_log([event])) == [event]
+
+
+def test_only_newline_ends_a_line():
+    events = [Event(0, "u001", ActionKind.LOGIN, {"context": "normal"}),
+              Event(1, "u002", ActionKind.LOGIN, {"context": "after_hours"})]
+    lines = serialize_event_log(events).rstrip(b"\n").split(b"\n")
+    assert parse_event_log(b"\r\n".join(lines) + b"\r\n") == events
+    for separator in (b"\r", b"\x0c"):
+        with pytest.raises(LogFormatError,
+                           match=r"^line 1: malformed JSON \(Extra data\)$"):
+            parse_event_log(separator.join(lines) + b"\n")
 
 
 def test_parse_rejects_unknown_kind():

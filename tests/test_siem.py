@@ -4,8 +4,9 @@ policy rules, gates, peer normalization, regularity suppression."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentinel import siem
@@ -70,6 +71,53 @@ def test_ewma_deviation_nonnegative_and_finite(alpha, xs):
         assert dev >= 0.0
         assert math.isfinite(state.mean) and math.isfinite(state.var)
         assert state.var >= 0.0
+
+
+def _python_ewma_update(mean, var, alpha, x, eps):
+    """The scalar update in plain Python floats: math.sqrt and ``**``."""
+    deviation = max(0.0, (x - mean) / math.sqrt(var + eps))
+    return ((1.0 - alpha) * mean + alpha * x,
+            (1.0 - alpha) * (var + alpha * (x - mean) ** 2), deviation)
+
+
+_grid = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0.0, 1e6) | st.integers(0, 2**52).map(
+        lambda k: k / 2**32), min_size=3, max_size=3),
+    min_size=n, max_size=n))
+# Differences whose square by pow (Python's **) and by one multiplication
+# (numpy's **) differ in the last bit.
+_X = [[float.fromhex("0x1.b2761c521a374p+19"),
+       float.fromhex("0x1.43563d5117365p+17"),
+       float.fromhex("0x1.01bfc877a6872p+17")]]
+_MEAN = [[0.0, float.fromhex("0x1.86245bcf29229p+17"), 0.0]]
+
+
+@given(mean=_grid, var=_grid, x=_grid, eps=_grid, alpha=st.floats(0.01, 0.99))
+@example(mean=_MEAN, var=[[0.0] * 3], x=_X, eps=[[0.0] * 3], alpha=0.05)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_array_ewma_update_equals_scalar_calls(mean, var, x, eps, alpha):
+    # One (n, 3) update is n x 3 scalar updates, bit for bit, and each of
+    # those is the plain Python float arithmetic.
+    n = min(map(len, (mean, var, x, eps)))
+    mean, var, x, eps = (np.array(g[:n]) for g in (mean, var, x, eps))
+    eps += 1e-6
+    state, deviation = ewma_update(EwmaState(mean, var, alpha), x, eps)
+    for i in range(n):
+        for j in range(3):
+            args = (mean[i, j].item(), var[i, j].item(), alpha,
+                    x[i, j].item(), eps[i, j].item())
+            scalar, dev = ewma_update(EwmaState(*args[:3]), *args[3:])
+            assert (state.mean[i, j], state.var[i, j], deviation[i, j]) \
+                == (scalar.mean, scalar.var, dev) \
+                == _python_ewma_update(*args)
+
+
+def test_array_ewma_state_rejects_one_negative_variance():
+    var = np.zeros((4, 3))
+    var[2, 1] = -1e-300
+    with pytest.raises(ValueError, match="variance"):
+        EwmaState(mean=np.zeros((4, 3)), var=var)
+    EwmaState(mean=np.zeros((4, 3)), var=np.zeros((4, 3)))
 
 
 # -- thresholds and trust ---------------------------------------------------
@@ -342,6 +390,20 @@ def test_peer_normalize_median_mad_oracle():
     assert peer_normalize(10_000.0, peers[:2], 0) is None  # group too small
 
 
+@given(volume=st.integers(0, 749), peers=st.lists(
+    st.integers(0, 2000) | st.integers(0, 2**60), max_size=12))
+@example(volume=749, peers=[0, 0, 0])
+@example(volume=749, peers=[0, 0, 0, 1, 10**9])
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_peer_normalize_is_silent_below_the_skip_line(volume, peers):
+    # Peer volumes are int sums, so the median and MAD are >= 0 and no
+    # volume below PEER_Z_MIN * PEER_EPS = 750 reaches z = PEER_Z_MIN: the
+    # engine does not call peer_normalize for one.
+    assert siem.PEER_Z_MIN * siem.PEER_EPS == 750
+    assert peer_normalize(float(volume), [float(v) for v in peers], 0) \
+        is None
+
+
 def test_regularity_suppression():
     def export(s):
         return Event(s, "u1", ActionKind.FILE_EXPORT,
@@ -420,3 +482,17 @@ def test_engine_never_rescans_a_window(short_log, short_log_alerts,
 
     monkeypatch.setattr(siem, "summarize", rescan)
     assert _alert_bytes(*short_log, pretrained_model) == short_log_alerts
+
+
+def test_engine_updates_all_baselines_once_per_step(
+        short_log, short_log_alerts, pretrained_model, monkeypatch):
+    # One array update per step covers every actor and metric.
+    shapes = []
+    update = siem.ewma_update
+
+    def counting(state, x, eps=siem.EWMA_EPS):
+        shapes.append(np.shape(x))
+        return update(state, x, eps)
+    monkeypatch.setattr(siem, "ewma_update", counting)
+    assert _alert_bytes(*short_log, pretrained_model) == short_log_alerts
+    assert shapes == [(len(short_log[0]), len(siem.EWMA_METRICS))] * 60
