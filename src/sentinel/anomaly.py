@@ -22,7 +22,7 @@ def behavior_vector(summary) -> tuple[float, ...]:
     s = summary
     return (float(s.logins), float(len(s.suspicious_logins)), float(s.queries),
             float(len(s.sensitive_steps)), float(len(s.export_steps)),
-            float(sum(s.export_volumes)), float(s.external_emails))
+            float(s.export_total), float(s.external_emails))
 
 
 def harmonic(n: int) -> float:

@@ -24,8 +24,9 @@ ENV_CONFIG = "SENTINEL_CONFIG"
 
 _INT, _INTS, _NUMBER, _STR = ("an integer", "a list of integers", "a number",
                                "a string")
-_CONFIG_KEYS = {   # key -> the type its value must have
-    "seed": _INT, "seeds": _INTS, "variant": _STR, "theta_base": _NUMBER,
+_VARIANT = "one of " + ", ".join(siem.VARIANT_NAMES)
+_CONFIG_KEYS = {   # key -> what its value must be
+    "seed": _INT, "seeds": _INTS, "variant": _VARIANT, "theta_base": _NUMBER,
     "out_dir": _STR, "total_steps": _INT, "warmup_steps": _INT,
     "mistake_prob": _NUMBER, "power_report_every": _INT,
     "forensics_model": _STR, "n_ham": _INT, "n_spam": _INT, "train_seed": _INT,
@@ -37,6 +38,8 @@ def _has_type(value, kind: str) -> bool:
         return isinstance(value, list) and all(_has_type(v, _INT) for v in value)
     if kind == _STR:
         return isinstance(value, str)
+    if kind == _VARIANT:
+        return value in siem.VARIANT_NAMES
     return isinstance(value, int if kind == _INT else (int, float)) \
         and not isinstance(value, bool)
 

@@ -149,13 +149,15 @@ def run_cells(cells: Sequence[tuple[str, float]], log: simkit.SimResult,
               model: Optional[forensics.PretrainedModel] = None
               ) -> list[tuple[list[Alert], RunReport]]:
     """(variant, theta) cells over one log in one engine pass: the feature
-    pass is shared, then each cell decides and is scored. One (alerts,
-    report) per cell, in order."""
+    pass is shared, then each cell decides and is scored. The log's truth
+    plays the analyst, labelling each confirmed alert. One (alerts, report)
+    per cell, in order."""
     engine = siem.SiemEngine(
         [siem.VariantConfig(name, theta) for name, theta in cells],
-        log.roster, [t.actor_id for t in log.truths if t.malicious],
-        log.seed, model=model)
-    alert_lists = engine.run(log.events, log.total_steps, log.warmup_steps)
+        log.roster, log.seed, model=model)
+    malicious = frozenset(t.actor_id for t in log.truths if t.malicious)
+    alert_lists = engine.run(log.events, log.total_steps, log.warmup_steps,
+                             malicious.__contains__)
     return [(alerts, score_run(name, log.seed, theta, alerts, log.truths,
                                log.warmup_steps))
             for (name, theta), alerts in zip(cells, alert_lists)]

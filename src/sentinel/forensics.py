@@ -100,18 +100,11 @@ def _scan(text: str) -> tuple[Counter, str]:
 
 
 def _hits(scan: tuple[Counter, str], keywords: Sequence[str]) -> int:
+    """Occurrences of the keywords: single words on token boundaries,
+    phrases as substrings of the whitespace-normalized text."""
     tokens, low = scan
     return sum([low.count(kw) if " " in kw else tokens.get(kw, 0)
                 for kw in keywords])
-
-
-def count_keyword_hits(text: str, keywords: Sequence[str]) -> int:
-    """Occurrences of each keyword/phrase in the lowercased text.
-
-    Single words match on token boundaries; multi-word phrases match as
-    whitespace-normalized substrings.
-    """
-    return _hits(_scan(text), keywords)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ on top (see VariantConfig): CE adds intent (ToM) and email forensics
 evidence; EG adds the precision layers: evidence gating, peer normalization,
 regularity suppression, contradiction checking, and the compliance override.
 
-Each actor's WindowSummary changes only when an event enters or leaves its
-window; every layer reads it instead of the events. One engine run serves a
-list of (variant, theta) cells: the feature pass builds each step's evidence
-once, and each cell keeps its own trust, scorer and alerts.
+One run serves (variant, theta) cells in two phases. features() streams the
+shared feature pass, with each actor's WindowSummary kept live as events
+enter and leave its window; then each cell decides with its own trust, scorer
+and alerts, and gets ground truth only as run()'s analyst feedback.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from __future__ import annotations
 import copy
 import json
 import math
+import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, partial
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -289,13 +290,8 @@ def peer_normalize(actor_volume: float, peer_volumes: Sequence[float],
     """Robust z of the actor's window export volume against role peers."""
     if len(peer_volumes) < PEER_MIN_GROUP:
         return None
-    ordered = sorted(peer_volumes)
-    n = len(ordered)
-    median = (ordered[n // 2] if n % 2 else
-              0.5 * (ordered[n // 2 - 1] + ordered[n // 2]))
-    deviations = sorted(abs(v - median) for v in ordered)
-    mad = (deviations[n // 2] if n % 2 else
-           0.5 * (deviations[n // 2 - 1] + deviations[n // 2]))
+    median = statistics.median(peer_volumes)
+    mad = statistics.median([abs(v - median) for v in peer_volumes])
     z = (actor_volume - median) / (mad + PEER_EPS)
     if z < PEER_Z_MIN:
         return None
@@ -316,11 +312,9 @@ class OnlineScorer:
     """Logistic model over binary anchor features; benign warmup batch first,
     then one gradient step per analyst-labeled alert."""
 
-    def __init__(self, lr: float = 0.1, l2: float = 1e-3):
+    def __init__(self):
         self.weights = [0.0] * len(SCORER_FEATURES)
         self.bias = 0.0
-        self.lr = lr
-        self.l2 = l2
         self.trained = False
 
     def predict(self, x: Sequence[float]) -> float:
@@ -331,21 +325,20 @@ class OnlineScorer:
     def _step(self, x: Sequence[float], label: int, lr: float) -> None:
         err = self.predict(x) - label
         for i, v in enumerate(x):
-            self.weights[i] -= lr * (err * v + self.l2 * self.weights[i])
+            self.weights[i] -= lr * (err * v + SCORER_L2 * self.weights[i])
         self.bias -= lr * err
 
     def warmup_fit(self, samples: Sequence[Sequence[float]],
-                   labels: Sequence[int], epochs: int = 20,
-                   lr: float = 0.5) -> None:
-        for _ in range(epochs):
+                   labels: Sequence[int]) -> None:
+        for _ in range(WARMUP_EPOCHS):
             for x, y in zip(samples, labels):
-                self._step(x, y, lr)
+                self._step(x, y, WARMUP_LR)
         self.trained = True
 
     def update(self, x: Sequence[float], label: int) -> None:
         if not self.trained:
             raise RuntimeError("online update before warmup training")
-        self._step(x, label, self.lr)
+        self._step(x, label, SCORER_LR)
 
 
 def scorer_features(summary: WindowSummary, forensics_flag: bool,
@@ -434,6 +427,7 @@ W_SUSPICIOUS_LOGIN = 0.4
 W_STAGING, STAGING_MIN = 1.5, 3   # staged exports for staging_pattern evidence
 W_FORENSICS, PHISHING_THRESHOLD = 2.0, 0.7
 W_SCORER, SCORER_GATE, SCORER_CAP = 2.0, 0.6, 0.4
+SCORER_LR, SCORER_L2, WARMUP_EPOCHS, WARMUP_LR = 0.1, 1e-3, 20, 0.5
 
 
 @dataclass
@@ -456,6 +450,9 @@ class _Row:
     """One actor at one step as every cell reads it. The two reads only
     some decisions need are made once, when first asked for, within the
     row's step: the summary is live and changes at the next ingest."""
+    actor_id: str
+    step: int
+    compliance: bool
     features: dict   # Variant -> (evidence before ML, scorer features, after)
     summary: WindowSummary
     # The role's forest, fitted on the first call; None: no ML advice.
@@ -474,12 +471,60 @@ class _Row:
 class _Cell:
     """One (variant, theta) cell's decision state."""
     variant: VariantConfig
-    trust: dict                             # actor id -> trust level
-    scorer: Optional[OnlineScorer] = None   # its copy of the warm-up fit
+    scorer: OnlineScorer   # its copy of the warm-up fit
+    trust: dict = field(default_factory=dict)   # actor id -> trust level
     # The scorer's outputs by feature vector since its last update: it
     # changes only on a confirmed alert.
     predictions: dict = field(default_factory=dict)
     alerts: list = field(default_factory=list)
+
+    def decide(self, row: _Row, feedback: Callable[[str], bool]) -> None:
+        """One actor's decision: ML evidence from the cell's scorer, peer
+        evidence, risk, ML advice and the gates; then the alert, and on a
+        confirmed one the analyst's label, ``feedback(actor_id)``, which
+        moves the actor's trust and trains the scorer."""
+        trust = self.trust.get(row.actor_id, TRUST_INIT)
+        if trust != TRUST_INIT:   # a decay tick keeps it there
+            trust = self.trust[row.actor_id] = update_trust(trust, "decay_tick")
+        before, x, after = row.features[self.variant.variant]
+        p = self.predictions.get(x)
+        if p is None:
+            p = self.predictions[x] = self.scorer.predict(x)
+        if p < SCORER_GATE and not before and not after:
+            return
+        theta_early, theta_confirm = thresholds(
+            trust, self.variant.theta_base, THETA_SLOPE, EARLY_FRACTION)
+        evidence = list(before)
+        if p >= SCORER_GATE:
+            evidence.append(Evidence(
+                kind=EvidenceKind.ML_ANOMALY,
+                weight=min(W_SCORER * (p - 0.5), SCORER_CAP),
+                step=row.step, detail=f"p={p:.3f}"))
+        evidence += after
+        risk = sum(e.weight for e in evidence)
+        if row.forest is not None and risk >= anomaly.ML_BAND * theta_confirm:
+            risk = anomaly.ml_advice(row.forest_score, risk, theta_confirm)
+        gating = self.variant.gating
+        gates = ()
+        if gating and risk >= theta_confirm:   # gate_confirm reads no others
+            gates = row.window_gates + excess_gate(evidence)
+        confirmed = gate_confirm(risk, evidence, theta_confirm, gates, gating,
+                                 row.compliance)
+        if not confirmed and risk < theta_early:
+            return
+        evidence.sort(key=lambda e: (e.kind.value, e.step, e.detail))
+        self.alerts.append(Alert(
+            tier="confirmed" if confirmed else "early", actor_id=row.actor_id,
+            step=row.step, score=risk, evidence=tuple(evidence),
+            tom_assisted=any(e.kind is EvidenceKind.TOM_INTENT
+                             for e in evidence),
+            gates=gates if confirmed else ()))
+        if confirmed:
+            label = 1 if feedback(row.actor_id) else 0
+            outcome = "true_positive" if label else "false_positive"
+            self.trust[row.actor_id] = update_trust(trust, outcome)
+            self.scorer.update(x, label)
+            self.predictions.clear()
 
 
 class SiemEngine:
@@ -487,8 +532,7 @@ class SiemEngine:
     that every cell shares, one decision state per cell; see run()."""
 
     def __init__(self, cells: Sequence[VariantConfig],
-                 roster: Sequence[ActorSpec],
-                 malicious_actors: Sequence[str], seed: int,
+                 roster: Sequence[ActorSpec], seed: int,
                  model: Optional[forensics.PretrainedModel] = None):
         if not cells:
             raise ValueError("no (variant, theta) cell to run")
@@ -499,9 +543,10 @@ class SiemEngine:
             if ids.count(actor_id) > 1:
                 raise ValueError(f"roster lists actor {actor_id!r} twice")
         # Forensics and gating nest in VARIANT_NAMES order, so the widest
-        # cell has either layer when some cell has it.
+        # cell has either layer when some cell has it. bench/tracer.py reads it.
         self.variant = max(cells, key=lambda c: VARIANT_NAMES.index(
             c.variant.value))
+        self.cells = list(cells)
         self.variants = [VariantConfig(v)
                          for v in dict.fromkeys(c.variant for c in cells)]
         read = [v for v in self.variants if v.forensics]
@@ -511,9 +556,8 @@ class SiemEngine:
         self.library = tom.PlanLibrary.bundled()
         self.model = model
         self.seed = seed
-        self.malicious = frozenset(malicious_actors)
         self.actors = {a.actor_id: _ActorState(spec=a) for a in roster}
-        self.cells = [_Cell(c, dict.fromkeys(ids, TRUST_INIT)) for c in cells]
+        self.scorer: Optional[OnlineScorer] = None   # the warm-up fit
         self.forests: dict[Role, Callable[[], anomaly.IsoForest]] = {}
 
     def _ingest(self, state: _ActorState, event: Event, read: bool) -> None:
@@ -555,8 +599,7 @@ class SiemEngine:
 
     # -- feature pass -----------------------------------------------------
 
-    def correlate(self, actor_id: str, step: int, summary: WindowSummary,
-                  deviations: Sequence[float],
+    def correlate(self, actor_id: str, step: int, deviations: Sequence[float],
                   role_volumes: Mapping[str, float]) -> _Row:
         """One actor's evidence at one step for every requested variant,
         all but the ML-anomaly item, which reads each cell's own scorer.
@@ -567,6 +610,7 @@ class SiemEngine:
         peer volumes; only gating variants read it.
         """
         state = self.actors[actor_id]
+        summary = state.summary
         rules_seen: dict[str, int] = {}
         for s, hits in state.policy_cache:
             for rule in hits:
@@ -644,68 +688,15 @@ class SiemEngine:
             x = scorer_features(summary, flagged, tom_ev is not None)
             features[v.variant] = (evidence, x, peer if v.gating else [])
         forest = self.forests.get(state.spec.role) if state.window else None
-        return _Row(features, summary, forest)
+        return _Row(actor_id, step, state.spec.compliance, features, summary,
+                    forest)
 
-    # -- decision ---------------------------------------------------------
-
-    def _decide(self, cell: _Cell, actor_id: str, step: int,
-                row: _Row) -> None:
-        """One cell's decision for one actor: ML evidence from the cell's
-        scorer, peer evidence, risk, ML advice and the gates; then the
-        alert, and trust and scorer feedback on a confirmed one."""
-        trust = cell.trust[actor_id]
-        if trust != TRUST_INIT:   # a decay tick keeps it there
-            trust = cell.trust[actor_id] = update_trust(trust, "decay_tick")
-        before, x, after = row.features[cell.variant.variant]
-        p = cell.predictions.get(x)
-        if p is None:
-            p = cell.predictions[x] = cell.scorer.predict(x)
-        if p < SCORER_GATE and not before and not after:
-            return
-        theta_early, theta_confirm = thresholds(
-            trust, cell.variant.theta_base, THETA_SLOPE, EARLY_FRACTION)
-        evidence = list(before)
-        if p >= SCORER_GATE:
-            evidence.append(Evidence(
-                kind=EvidenceKind.ML_ANOMALY,
-                weight=min(W_SCORER * (p - 0.5), SCORER_CAP),
-                step=step, detail=f"p={p:.3f}"))
-        evidence += after
-        risk = sum(e.weight for e in evidence)
-        if row.forest is not None and risk >= anomaly.ML_BAND * theta_confirm:
-            risk = anomaly.ml_advice(row.forest_score, risk, theta_confirm)
-        gating = cell.variant.gating
-        gates = ()
-        if gating and risk >= theta_confirm:   # gate_confirm reads no others
-            gates = row.window_gates + excess_gate(evidence)
-        confirmed = gate_confirm(risk, evidence, theta_confirm, gates, gating,
-                                 self.actors[actor_id].spec.compliance)
-        if not confirmed and risk < theta_early:
-            return
-        evidence.sort(key=lambda e: (e.kind.value, e.step, e.detail))
-        cell.alerts.append(Alert(
-            tier="confirmed" if confirmed else "early", actor_id=actor_id,
-            step=step, score=risk, evidence=tuple(evidence),
-            tom_assisted=any(e.kind is EvidenceKind.TOM_INTENT
-                             for e in evidence),
-            gates=gates if confirmed else ()))
-        if confirmed:
-            label = 1 if actor_id in self.malicious else 0
-            outcome = "true_positive" if label else "false_positive"
-            cell.trust[actor_id] = update_trust(trust, outcome)
-            cell.scorer.update(x, label)
-            cell.predictions.clear()
-
-    # -- main loop --------------------------------------------------------
-
-    def run(self, events: Sequence[Event], total_steps: int,
-            warmup_steps: int) -> list[list[Alert]]:
-        """Each cell's alerts, in the order the cells were given.
-
-        Each step ingests, evicts and updates the baselines once. After
-        the warm-up each actor is correlated once, then every cell decides
-        every actor in sorted order: a cell's one scorer learns as it goes.
-        """
+    def features(self, events: Sequence[Event], total_steps: int,
+                 warmup_steps: int) -> Iterator[tuple[int, list[_Row]]]:
+        """Phase 1, with no truth in it: (step, rows) for each post-warm-up
+        step, one row per actor in sorted order, valid until the next step
+        is asked for. Each step ingests, evicts and updates the baselines
+        once; the first of them fits self.scorer and the role forests."""
         by_step: dict[int, list[Event]] = {}
         for e in events:
             if e.actor_id not in self.actors:
@@ -715,15 +706,14 @@ class SiemEngine:
                 raise ValueError(f"event at step {e.step}: outside the "
                                  f"log's steps 0..{total_steps - 1}")
             by_step.setdefault(e.step, []).append(e)
-        actor_ids = sorted(self.actors)
-        w = float(WINDOW)
+        states = [self.actors[a] for a in sorted(self.actors)]
         warmup_samples: list[tuple[float, ...]] = []
         warmup_vectors: dict[Role, list[tuple[float, ...]]] = {}
 
-        # The baselines of every actor (rows, in actor_ids order) and
-        # metric (columns, in EWMA_METRICS order), updated once per step.
-        baselines = EwmaState(mean=np.zeros((len(actor_ids), 3)),
-                              var=np.zeros((len(actor_ids), 3)))
+        # The baselines of every actor (rows, in states order) and metric
+        # (columns, in EWMA_METRICS order), updated once per step.
+        baselines = EwmaState(mean=np.zeros((len(states), 3)),
+                              var=np.zeros((len(states), 3)))
         # Count rates over a window of W steps scatter like Poisson counts,
         # so their variance is at least mean / W even when the smoothed
         # variance has collapsed; export volume scales that by a typical
@@ -734,19 +724,18 @@ class SiemEngine:
             for e in by_step.get(step, ()):
                 self._ingest(self.actors[e.actor_id], e,
                              step > warmup_steps - WINDOW)
-            for actor_id in actor_ids:
-                self._evict(self.actors[actor_id], step)
+            for state in states:
+                self._evict(state, step)
             rates = np.array([(s.logins, s.queries, s.export_volume) for s in (
-                self.actors[a].summary for a in actor_ids)],
-                dtype=float).reshape(-1, 3) / w
+                state.summary for state in states)],
+                dtype=float).reshape(-1, 3) / WINDOW
             eps = EWMA_EPS + np.maximum(0.0, baselines.mean) / WINDOW \
                 * floor_scale
             baselines, deviations = ewma_update(baselines, rates, eps)
 
             if step < warmup_steps:
                 if step % SAMPLE_EVERY == 0 and step > 0:
-                    for actor_id in actor_ids:
-                        state = self.actors[actor_id]
+                    for state in states:
                         warmup_samples.append(
                             scorer_features(state.summary, False, False))
                         if state.window:
@@ -755,10 +744,9 @@ class SiemEngine:
                                     anomaly.behavior_vector(state.summary))
                 continue
             if step == warmup_steps:
-                scorer = OnlineScorer()
-                scorer.warmup_fit(warmup_samples, [0] * len(warmup_samples))
-                for cell in self.cells:
-                    cell.scorer = copy.deepcopy(scorer)
+                self.scorer = OnlineScorer()
+                self.scorer.warmup_fit(warmup_samples,
+                                       [0] * len(warmup_samples))
                 for role, vectors in sorted(warmup_vectors.items()):
                     if len(vectors) >= 2:
                         # Fitted when a decision first reads its score.
@@ -769,16 +757,28 @@ class SiemEngine:
 
             volumes_by_role: dict[Role, dict[str, float]] = {}
             if self.variant.gating:
-                for actor_id in actor_ids:
-                    volumes_by_role.setdefault(
-                        self.actors[actor_id].spec.role, {})[actor_id] = \
-                        self.actors[actor_id].summary.peer_volume
-            rows = [self.correlate(
-                actor_id, step, self.actors[actor_id].summary, devs,
-                volumes_by_role.get(self.actors[actor_id].spec.role, {}))
-                for actor_id, devs in zip(actor_ids, deviations.tolist())]
-            for cell in self.cells:
-                for actor_id, row in zip(actor_ids, rows):
-                    self._decide(cell, actor_id, step, row)
-        return [cell.alerts for cell in self.cells]
+                for state in states:
+                    volumes_by_role.setdefault(state.spec.role, {})[
+                        state.spec.actor_id] = state.summary.peer_volume
+            yield step, [self.correlate(
+                state.spec.actor_id, step, devs,
+                volumes_by_role.get(state.spec.role, {}))
+                for state, devs in zip(states, deviations.tolist())]
 
+    def run(self, events: Sequence[Event], total_steps: int,
+            warmup_steps: int,
+            feedback: Callable[[str], bool]) -> list[list[Alert]]:
+        """Each cell's alerts, in the order the cells were given: phase 2
+        decides each step's rows, cell by cell, in actor order, so a cell's
+        one scorer learns as it goes. ``feedback(actor_id)``, the analyst's
+        label for a confirmed alert, is the only way truth reaches the engine.
+        """
+        cells: list[_Cell] = []
+        for _, rows in self.features(events, total_steps, warmup_steps):
+            if not cells:   # each cell takes its copy of the warm-up fit
+                cells = [_Cell(c, copy.deepcopy(self.scorer))
+                         for c in self.cells]
+            for cell in cells:
+                for row in rows:
+                    cell.decide(row, feedback)
+        return [cell.alerts for cell in cells] or [[] for _ in self.cells]

@@ -301,10 +301,11 @@ def test_config_errors(tmp_path):
     ({"total_steps": "240"}, "simulate", "total_steps"),
     ({"seed": True}, "simulate", "seed"),
     ({"variant": ["lsc"]}, "detect", "variant"),
+    ({"variant": "bogus"}, "detect", "variant"),
     (DEEP, "simulate", "not valid JSON"),
     (NOT_UTF8, "simulate", "not valid JSON"),
 ], ids=["string_theta_base", "string_total_steps", "bool_seed", "list_variant",
-        "deep_nesting", "not_utf8"])
+        "unknown_variant", "deep_nesting", "not_utf8"])
 def test_config_value_of_wrong_type_exits_1(simulated, tmp_path, capsys,
                                             config, command, key):
     # A bytes config is written as it is: a file that is not UTF-8 JSON.

@@ -181,7 +181,8 @@ def test_engine_matches_frozen_reference(model, log):
     cells = [(name, theta) for name in VARIANTS for theta in THETAS]
     got = siem.SiemEngine(
         [siem.VariantConfig(name, theta_base=theta) for name, theta in cells],
-        ROSTER, MALICIOUS, 11, model=model).run(events, total, warmup)
+        ROSTER, 11, model=model).run(events, total, warmup,
+                                     frozenset(MALICIOUS).__contains__)
     for (name, theta), alerts in zip(cells, got):
         expected = oracle_engine.run_detection(
             events, ROSTER, MALICIOUS,
@@ -228,8 +229,8 @@ def big_volume_logs(draw):
 @given(log=big_volume_logs())
 def test_live_window_summary_matches_a_fresh_summary(log):
     events, total, warmup = log
-    _CheckedEngine([siem.VariantConfig("lsc")], ROSTER, MALICIOUS, 11).run(
-        events, total, warmup)
+    _CheckedEngine([siem.VariantConfig("lsc")], ROSTER, 11).run(
+        events, total, warmup, frozenset(MALICIOUS).__contains__)
 
 
 def _warmup_vectors(events, warmup):
@@ -252,8 +253,8 @@ def _warmup_vectors(events, warmup):
 def test_forests_fitted_on_first_read_equal_eager_fits(log):
     events, total, warmup = log
     engine = siem.SiemEngine([siem.VariantConfig(v, theta_base=3.0)
-                              for v in ("lsc", "eg")], ROSTER, MALICIOUS, 11)
-    engine.run(events, total, warmup)
+                              for v in ("lsc", "eg")], ROSTER, 11)
+    engine.run(events, total, warmup, frozenset(MALICIOUS).__contains__)
     vectors = _warmup_vectors(events, warmup)
     assert set(engine.forests) == {role for role, sample in vectors.items()
                                    if len(sample) >= 2}
@@ -282,6 +283,20 @@ def test_keyword_score_matches_frozen_reference(parts):
     body = "".join(word + sep for word, sep in parts)
     assert forensics.keyword_phishing_score(body) == \
         oracle_engine.forensics.keyword_phishing_score(body)
+
+
+_VOLUMES = st.integers(0, 3000) | st.integers(0, 2**60) | st.floats(
+    0.0, 1e300)
+
+
+@given(volume=_VOLUMES, peers=st.lists(_VOLUMES, min_size=3, max_size=12))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_peer_normalize_matches_frozen_reference(volume, peers):
+    # Odd and even peer groups: an even group's median and MAD are the
+    # mean of the two middle values.
+    peers = [float(v) for v in peers]
+    assert siem.peer_normalize(float(volume), peers, 0) == \
+        oracle_engine.peer_normalize(float(volume), peers, 0)
 
 
 # -- the reference stays frozen ---------------------------------------------

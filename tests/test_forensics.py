@@ -13,7 +13,7 @@ from test_engine_differential import BODIES
 from sentinel.forensics import (SENSITIVE_KEYWORDS, URGENT_KEYWORDS,
                                 ModelFormatError, MultinomialClassifier,
                                 TrainingError, build_vocabulary,
-                                count_keyword_hits, count_matrix,
+                                _hits, _scan, count_matrix,
                                 generate_leak_body,
                                 generate_synthetic_corpus,
                                 keyword_phishing_score, lexical_richness,
@@ -38,17 +38,17 @@ def test_lexical_richness_oracle():
 
 def test_count_keyword_hits_words_and_phrases():
     text = "Reset your password now. The passwords stay safe. wire  transfer due."
-    assert count_keyword_hits(text, ["password"]) == 1  # not "passwords"
-    assert count_keyword_hits(text, ["wire transfer"]) == 1  # whitespace folded
-    assert count_keyword_hits(text, ["password", "wire transfer"]) == 2
-    assert count_keyword_hits("", ["password"]) == 0
+    assert _hits(_scan(text), ["password"]) == 1  # not "passwords"
+    assert _hits(_scan(text), ["wire transfer"]) == 1  # whitespace folded
+    assert _hits(_scan(text), ["password", "wire transfer"]) == 2
+    assert _hits(_scan(""), ["password"]) == 0
 
 
 def test_keyword_phishing_score_formula():
     # custom body with known hit counts against the bundled lists
     body = "the confidential report is urgent"
-    s = count_keyword_hits(body, SENSITIVE_KEYWORDS)
-    u = count_keyword_hits(body, URGENT_KEYWORDS)
+    s = _hits(_scan(body), SENSITIVE_KEYWORDS)
+    u = _hits(_scan(body), URGENT_KEYWORDS)
     assert keyword_phishing_score(body) == pytest.approx(min(1.0, 0.18 * s + 0.22 * u))
     assert keyword_phishing_score("plain schedule update") == 0.0
 

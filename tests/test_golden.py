@@ -82,8 +82,9 @@ def test_benchmark_tracer_wraps_every_target():
                         {"recipient_domain": "external",
                          "recipient": "x.example", "body": "hello"})]
         for name in VARIANTS[:3]:
-            siem.SiemEngine([siem.VariantConfig(name)], roster, [],
-                            seed=1).run(events, total_steps=3, warmup_steps=0)
+            siem.SiemEngine([siem.VariantConfig(name)], roster,
+                            seed=1).run(events, total_steps=3, warmup_steps=0,
+                                        feedback=lambda actor_id: False)
     finally:
         tracer.uninstall()
     assert siem.SiemEngine.run is original_run

@@ -204,9 +204,9 @@ def test_engine_policy_evidence_one_item_per_distinct_rule():
                      {"volume": 10_000, "resource": "shared_drive",
                       "destination": "external"})
     roster = [ActorSpec("u001", Role.STAFF, malicious=False)]
-    alerts = SiemEngine([VariantConfig("lsc")], roster, [], seed=1).run(
+    alerts = SiemEngine([VariantConfig("lsc")], roster, seed=1).run(
         [denied_mail(1), over_cap, denied_mail(3)], total_steps=4,
-        warmup_steps=0)[0]
+        warmup_steps=0, feedback=lambda actor_id: False)[0]
     at_step_3 = [a for a in alerts if a.step == 3]
     assert len(at_step_3) == 1
     policy = [(e.detail, e.step, e.weight) for e in at_step_3[0].evidence
@@ -221,7 +221,7 @@ def test_engine_rejects_an_actor_listed_twice():
               ActorSpec("u002", Role.STAFF, malicious=False),
               ActorSpec("u001", Role.ADMIN, malicious=False)]
     with pytest.raises(ValueError, match="'u001' twice"):
-        SiemEngine([VariantConfig("lsc")], roster, [], seed=1)
+        SiemEngine([VariantConfig("lsc")], roster, seed=1)
 
 
 # -- variant configs --------------------------------------------------------
@@ -435,9 +435,9 @@ def short_log():
 
 def _alert_bytes(roster, events, malicious, model) -> list[bytes]:
     engine = SiemEngine([VariantConfig(v) for v in siem.VARIANT_NAMES],
-                        roster, malicious, 101, model=model)
-    return [serialize_alert_log(alerts)
-            for alerts in engine.run(events, 60, 10)]
+                        roster, 101, model=model)
+    return [serialize_alert_log(alerts) for alerts in engine.run(
+        events, 60, 10, frozenset(malicious).__contains__)]
 
 
 @pytest.fixture(scope="module")
@@ -496,3 +496,41 @@ def test_engine_updates_all_baselines_once_per_step(
     monkeypatch.setattr(siem, "ewma_update", counting)
     assert _alert_bytes(*short_log, pretrained_model) == short_log_alerts
     assert shapes == [(len(short_log[0]), len(siem.EWMA_METRICS))] * 60
+
+
+def test_features_stream_one_step_at_a_time(short_log):
+    # A row reads live window state, so phase 1 must not read ahead: while
+    # a step's rows are out, no window holds an event of a later step.
+    roster, events, _ = short_log
+    engine = SiemEngine([VariantConfig("eg")], roster, 101)
+    stream = engine.features(events, 60, 10)
+    for expected_step in range(10, 15):
+        step, rows = next(stream)
+        assert step == expected_step
+        assert [(r.actor_id, r.step, r.compliance) for r in rows] == sorted(
+            (a.actor_id, step, a.compliance) for a in roster)
+        assert max(e.step for state in engine.actors.values()
+                   for e in state.window) == step
+        assert any(e.step > step for e in events)
+
+
+def test_feedback_labels_each_confirmed_alert_once(sim_results,
+                                                   pretrained_model):
+    # Truth reaches the engine only through feedback: one call per
+    # confirmed alert, with its actor. Cells decide a step in turn, so the
+    # calls come step by step, then cell by cell, in each cell's alert order.
+    log = sim_results[101]
+    malicious = {t.actor_id for t in log.truths if t.malicious}
+    calls = []
+
+    def feedback(actor_id):
+        calls.append(actor_id)
+        return actor_id in malicious
+    engine = SiemEngine([VariantConfig(v) for v in siem.VARIANT_NAMES],
+                        log.roster, log.seed, model=pretrained_model)
+    got = engine.run(log.events, log.total_steps, log.warmup_steps, feedback)
+    confirmed = sorted((a.step, cell, i, a.actor_id)
+                       for cell, alerts in enumerate(got)
+                       for i, a in enumerate(alerts) if a.tier == "confirmed")
+    assert {cell for _, cell, _, _ in confirmed} == {0, 1, 2, 3}
+    assert calls == [actor_id for *_, actor_id in confirmed]

@@ -232,7 +232,8 @@ def test_hypotheses_recomputed_when_the_tom_deque_changes(appended):
                             {"resource": "wiki", "sensitivity": "sensitive"}))
     total, warmup = 22, 5
     cells = [siem.VariantConfig(v) for v in ("ce", "eg")]
-    got = siem.SiemEngine(cells, ROSTER, [], 11).run(events, total, warmup)
+    got = siem.SiemEngine(cells, ROSTER, 11).run(events, total, warmup,
+                                                 lambda actor_id: False)
     for cell, alerts in zip(cells, got):
         intent = {a.step: e.detail for a in alerts for e in a.evidence
                   if e.kind is EvidenceKind.TOM_INTENT}
