@@ -9,7 +9,8 @@ near-threshold risk.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Sequence
 
 from .rng import substream
@@ -26,7 +27,7 @@ def behavior_vector(summary) -> tuple[float, ...]:
 
 
 def harmonic(n: int) -> float:
-    return sum(1.0 / k for k in range(1, n + 1))
+    return reduce(add, (1.0 / k for k in range(1, n + 1)), 0)
 
 
 @lru_cache(maxsize=None)
@@ -80,10 +81,9 @@ class IsoForest:
 
     def score(self, v: Sequence[float]) -> float:
         if len(v) != self.dimension:
-            raise ValueError(
-                f"vector dimension {len(v)} != forest dimension {self.dimension}"
-            )
-        mean_path = sum(self.path_length(v, t) for t in self.trees) / len(self.trees)
+            raise ValueError(f"vector dimension {len(v)} != forest dimension "
+                             f"{self.dimension}")
+        mean_path = reduce(add, (self.path_length(v, t) for t in self.trees), 0) / len(self.trees)
         return 2.0 ** (-mean_path / average_path_length(self.psi))
 
 

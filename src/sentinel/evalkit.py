@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 from . import forensics, siem, simkit
@@ -171,11 +173,9 @@ def run_cell(variant_name: str, log: simkit.SimResult,
     return run_cells([(variant_name, theta_base)], log, model)[0]
 
 
-def _mean(values: Sequence[float]) -> Optional[float]:
+def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
     values = [v for v in values if v is not None]
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return reduce(add, values, 0) / len(values) if values else None
 
 
 # RunReport's measures, the fields aggregate averages: all but the cell's

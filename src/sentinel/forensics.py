@@ -490,7 +490,7 @@ def compose_body(
     sentences = []
     for _ in range(n_sentences):
         length = max(3, int(round(mean_len + sd * rng.gauss())))
-        words = [rng.choice(BENIGN_WORDS) for _ in range(length)]
+        words = rng.choices(BENIGN_WORDS, length)
         sentences.append(" ".join(words).capitalize() + ".")
     return " ".join(sentences)
 
@@ -500,7 +500,7 @@ def generate_leak_body(rng: Xoshiro256StarStar, dense: bool = False) -> str:
     add urgency phrasing and an extra sensitive sentence, which pushes them
     over the keyword-heuristic threshold. Sparse bodies stay below it and are
     only caught by a trained classifier."""
-    picks = [rng.choice(_LEAK_SENTENCES) for _ in range(rng.randint(2, 3))]
+    picks = rng.choices(_LEAK_SENTENCES, rng.randint(2, 3))
     if dense:
         picks.append(rng.choice(_LEAK_URGENT_SENTENCES))
         picks.append(rng.choice(_LEAK_SENTENCES))

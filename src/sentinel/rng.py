@@ -5,6 +5,11 @@ xoshiro256** generator below so that runs are reproducible bit-for-bit and
 other implementations can match streams from the published constants alone.
 Substreams (one per actor, per subsystem, ...) are derived by hashing a
 canonical tag string with SHA-256, which is equally portable.
+
+``choices(seq, k)`` and ``shuffle`` draw a whole run of bounded integers in
+one loop over local state, but they consume exactly the draws that ``k``
+``choice`` calls, or the ``randint(0, i)`` swap calls of a one-at-a-time
+Fisher-Yates shuffle, consume; the stream does not depend on which is used.
 """
 
 from __future__ import annotations
@@ -13,10 +18,7 @@ import hashlib
 import math
 
 MASK64 = (1 << 64) - 1
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
+_TWO64 = 1 << 64
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -42,16 +44,46 @@ class Xoshiro256StarStar:
         self._s = state
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & MASK64
+        result = ((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK64]
         return result
+
+    def _below(self, spans) -> list[int]:
+        """``randint(0, n - 1)`` for each span ``n``, drawn exactly as those
+        calls would draw them, with the state in locals for the whole run."""
+        out = []
+        s0, s1, s2, s3 = self._s
+        last = None
+        try:
+            for n in spans:
+                if n != last:  # a new span: check it, then its rejection limit
+                    if not 0 < n <= _TWO64:
+                        raise ValueError(f"empty range [0, {n - 1}]" if n < 1
+                                         else f"a range of {n} values exceeds 2**64")
+                    limit, last = _TWO64 - _TWO64 % n, n
+                x = limit   # draw at least once; reject words at or past the limit
+                while x >= limit:
+                    x = (s1 * 5) & MASK64
+                    x = ((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64
+                    t = (s1 << 17) & MASK64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+                out.append(x % n)
+        finally:
+            self._s = [s0, s1, s2, s3]
+        return out
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -61,20 +93,19 @@ class Xoshiro256StarStar:
         """Uniform integer in [lo, hi] inclusive."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        span = hi - lo + 1
-        # rejection sampling to avoid modulo bias
-        limit = (MASK64 + 1) - ((MASK64 + 1) % span)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return lo + (x % span)
+        return lo + self._below((hi - lo + 1,))[0]
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
+    def choices(self, seq, k: int) -> list:
+        """``[choice(seq) for _ in range(k)]``, from the same draws."""
+        return [seq[i] for i in self._below([len(seq)] * k)]
+
     def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(0, i)
+        """Fisher-Yates from the back, with ``randint(0, i)`` swap indices."""
+        for i, j in zip(range(len(seq) - 1, 0, -1),
+                        self._below(range(len(seq), 1, -1))):
             seq[i], seq[j] = seq[j], seq[i]
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:

@@ -22,8 +22,9 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from importlib import resources
+from operator import add, mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -205,10 +206,7 @@ class WindowSummary:
         while it is below 2**53, as volumes are ints in [0, 2**53)."""
         if self.export_total < 2 ** 53:
             return float(self.export_total)
-        total = 0.0
-        for v in self.export_volumes:
-            total += v
-        return total
+        return reduce(add, self.export_volumes, 0.0)
 
     @property
     def peer_volume(self) -> float:
@@ -280,7 +278,7 @@ def regularity_suppression(export_steps: Sequence[int]) -> float:
     mean = sum(gaps) / len(gaps)
     if mean == 0:
         return 1.0
-    var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
+    var = reduce(add, ((g - mean) ** 2 for g in gaps), 0) / len(gaps)
     cv = math.sqrt(var) / mean
     return M_REG if cv < CV_MIN else 1.0
 
@@ -318,7 +316,7 @@ class OnlineScorer:
         self.trained = False
 
     def predict(self, x: Sequence[float]) -> float:
-        z = self.bias + sum(w * v for w, v in zip(self.weights, x))
+        z = self.bias + reduce(add, map(mul, self.weights, x), 0)
         z = max(-30.0, min(30.0, z))
         return 1.0 / (1.0 + math.exp(-z))
 
@@ -501,7 +499,7 @@ class _Cell:
                 weight=min(W_SCORER * (p - 0.5), SCORER_CAP),
                 step=row.step, detail=f"p={p:.3f}"))
         evidence += after
-        risk = sum(e.weight for e in evidence)
+        risk = reduce(add, (e.weight for e in evidence), 0)
         if row.forest is not None and risk >= anomaly.ML_BAND * theta_confirm:
             risk = anomaly.ml_advice(row.forest_score, risk, theta_confirm)
         gating = self.variant.gating

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .events import ActionKind, Event, Evidence, EvidenceKind
@@ -68,22 +69,21 @@ class PlanLibrary:
         for malicious, key in ((True, "malicious"), (False, "benign")):
             for plan, template in doc[key].items():
                 bits, prefixes, kinds = [], [], set()
-                # Weights add in template order, as a left-to-right greedy
-                # match accumulates them.
-                total = sum(_specificity(e) for e in template)
-                matched = 0.0
-                for k, e in enumerate(template, 1):
+                # Weights add left to right, as a greedy match accumulates
+                # them; the last running total is the template's total.
+                totals = list(accumulate(map(_specificity, template)))
+                for k, (e, matched) in enumerate(zip(template, totals), 1):
                     kind = ActionKind(e["kind"])
                     if (kind, e) not in elements:
                         elements.append((kind, e))
                         self._by_kind.setdefault(kind, []).append(
                             (e, 1 << (len(elements) - 1)))
                     bits.append(1 << elements.index((kind, e)))
-                    matched += _specificity(e)
                     kinds.add(kind)
                     prefixes.append(IntentHypothesis(
                         plan, malicious, k / len(template),
-                        matched / total if total else 0.0, frozenset(kinds)))
+                        matched / totals[-1] if totals[-1] else 0.0,
+                        frozenset(kinds)))
                 templates.append((tuple(bits) + (0,), tuple(prefixes)))
         self.templates = tuple(templates)
 

@@ -4,8 +4,12 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -571,6 +575,29 @@ def test_inputs_past_the_step_bound_end_at_once(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") \
         and "actor-steps" in err[0]
+
+
+# -- a seeded draw over more than 2**64 values --------------------------------
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_a_report_cycle_past_2_to_the_64_ends_at_once(tmp_path, command):
+    # power_report_every is the span of each actor's report-phase draw; past
+    # 2**64 the generator's rejection loop once had no word to accept and
+    # never returned. It runs in a child so that a hang fails this test
+    # rather than stalling the suite.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"power_report_every": 2 ** 65}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "sentinel.cli", "--config", str(config),
+         command, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=20)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "exceeds 2**64" in err[0]
 
 
 # -- the training corpus bound ------------------------------------------------
