@@ -49,6 +49,11 @@ class IsoForest:
     @classmethod
     def fit(cls, vectors: Sequence[Sequence[float]], seed: int,
             psi: int = 64, t: int = 50) -> "IsoForest":
+        if psi < 2:
+            raise ValueError(f"psi < 2: a tree needs a subsample of 2 or more, "
+                             f"got {psi}")
+        if t < 1:
+            raise ValueError(f"t < 1: a forest needs 1 or more trees, got {t}")
         vectors = [tuple(float(x) for x in v) for v in vectors]
         if len(vectors) < 2:
             raise ValueError("need at least 2 vectors to fit a forest")

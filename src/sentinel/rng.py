@@ -6,19 +6,24 @@ other implementations can match streams from the published constants alone.
 Substreams (one per actor, per subsystem, ...) are derived by hashing a
 canonical tag string with SHA-256, which is equally portable.
 
-``choices(seq, k)`` and ``shuffle`` draw a whole run of bounded integers in
-one loop over local state, but they consume exactly the draws that ``k``
-``choice`` calls, or the ``randint(0, i)`` swap calls of a one-at-a-time
-Fisher-Yates shuffle, consume; the stream does not depend on which is used.
+Every draw method consumes exactly the words of its one-at-a-time form:
+``choices(seq, k)`` those of ``k`` ``choice`` calls, ``shuffle`` those of the
+``randint(0, i)`` swaps of a Fisher-Yates shuffle, and each lane that
+``substreams`` returns those of its scalar ``substream``, since numpy's uint64
+arithmetic, which steps the lanes side by side, is exact modulo 2**64.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
+LANE_BLOCK = 128   # words a refill steps into each lane; see _Lanes.fill
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -28,6 +33,14 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return state, (z ^ (z >> 31)) & MASK64
+
+
+def _limit(n: int) -> int:
+    """Check a span of ``n`` values; words at or past its limit are redrawn."""
+    if not 0 < n <= _TWO64:
+        raise ValueError(f"empty range [0, {n - 1}]" if n < 1
+                         else f"a range of {n} values exceeds 2**64")
+    return _TWO64 - _TWO64 % n
 
 
 class Xoshiro256StarStar:
@@ -59,16 +72,12 @@ class Xoshiro256StarStar:
     def _below(self, spans) -> list[int]:
         """``randint(0, n - 1)`` for each span ``n``, drawn exactly as those
         calls would draw them, with the state in locals for the whole run."""
-        out = []
+        out, last = [], None
         s0, s1, s2, s3 = self._s
-        last = None
         try:
             for n in spans:
-                if n != last:  # a new span: check it, then its rejection limit
-                    if not 0 < n <= _TWO64:
-                        raise ValueError(f"empty range [0, {n - 1}]" if n < 1
-                                         else f"a range of {n} values exceeds 2**64")
-                    limit, last = _TWO64 - _TWO64 % n, n
+                if n != last:
+                    limit, last = _limit(n), n
                 x = limit   # draw at least once; reject words at or past the limit
                 while x >= limit:
                     x = (s1 * 5) & MASK64
@@ -119,13 +128,12 @@ class Xoshiro256StarStar:
 
     def poisson(self, lam: float) -> int:
         """Poisson draw via product-of-uniforms (fine for the small rates here)."""
-        if lam < 0:
-            raise ValueError("rate must be >= 0")
+        if not 0 <= lam < math.inf:   # a NaN rate would never stop the loop
+            raise ValueError(f"rate must be finite and >= 0, got {lam}")
         if lam == 0:
             return 0
         threshold = math.exp(-lam)
-        k = 0
-        p = 1.0
+        k, p = 0, 1.0
         while True:
             p *= self.random()
             if p <= threshold:
@@ -142,3 +150,65 @@ def substream(seed: int, *tags) -> Xoshiro256StarStar:
     canon = repr((int(seed),) + tuple(str(t) for t in tags)).encode("utf-8")
     digest = hashlib.sha256(canon).digest()
     return Xoshiro256StarStar(int.from_bytes(digest[:8], "big"))
+
+
+class _Lanes:
+    """xoshiro256** states, one lane per column, and each lane's unread words."""
+
+    def __init__(self, states):
+        self.s = np.array(states, dtype=np.uint64).reshape(-1, 4).T.copy()
+        self.unread = [deque() for _ in states]
+
+    def fill(self) -> None:
+        """Step LANE_BLOCK times each lane below 3 blocks unread; none reaches 4."""
+        short = [k for k, w in enumerate(self.unread) if len(w) < 3 * LANE_BLOCK]
+        s = self.s[:, short]
+        lo, hi, flipped, s1, s2, s3 = s[:2], s[2:], s[3:1:-1], s[1], s[2], s[3]
+        c5, c7, c9, c17, c19, c45, c57 = map(np.uint64, (5, 7, 9, 17, 19, 45, 57))
+        block = np.empty((LANE_BLOCK, len(short)), dtype=np.uint64)
+        for row in block:
+            row[:] = s1
+            t = s1 << c17
+            hi ^= lo        # s2 ^= s0; s3 ^= s1
+            lo ^= flipped   # s0 ^= s3; s1 ^= s2
+            s2 ^= t
+            np.bitwise_or(s3 << c45, s3 >> c19, out=s3)
+        self.s[:, short] = s
+        block *= c5
+        block = ((block << c7) | (block >> c57)) * c9
+        for k, words in zip(short, block.T.tolist()):
+            self.unread[k].extend(words)
+
+
+class _Lane(Xoshiro256StarStar):
+    """A generator that reads its words from one lane of a ``_Lanes`` bank."""
+
+    def __init__(self, bank: _Lanes, k: int):
+        self._bank, self._unread = bank, bank.unread[k]
+
+    def next_u64(self) -> int:
+        if not self._unread:
+            self._bank.fill()
+        return self._unread.popleft()
+
+    def random(self) -> float:
+        if not self._unread:
+            self._bank.fill()
+        return (self._unread.popleft() >> 11) * (1.0 / (1 << 53))
+
+    def _below(self, spans) -> list[int]:
+        out, unread, last = [], self._unread, None
+        for n in spans:
+            if n != last:
+                limit, last = _limit(n), n
+            x = limit   # read the lane's words, refilling it when it runs out
+            while x >= limit:
+                x = unread.popleft() if unread else self.next_u64()
+            out.append(x % n)
+        return out
+
+
+def substreams(seed: int, tag, names: list[str]) -> dict[str, Xoshiro256StarStar]:
+    """``{name: substream(seed, tag, name)}``, as lanes of one stepped bank."""
+    bank = _Lanes([substream(seed, tag, name)._s for name in names])
+    return {name: _Lane(bank, k) for k, name in enumerate(names)}

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import forensics
 from .events import ActionKind, Event, GroundTruth, Role, Scenario
-from .rng import Xoshiro256StarStar, substream
+from .rng import Xoshiro256StarStar, substream, substreams
 
 INTERNAL_DOMAIN = "corp.example"
 APPROVED_PARTNER_DOMAINS = ("partnercorp.example", "consulting.example")
@@ -400,7 +400,7 @@ def run_simulation(config: SimConfig, seed: int) -> SimResult:
     for e in scheduled:
         schedule.setdefault((e.actor_id, e.step), []).append(e)
 
-    streams = {a.actor_id: substream(seed, "actor", a.actor_id) for a in roster}
+    streams = substreams(seed, "actor", [a.actor_id for a in roster])
     events: list[Event] = []
     for step in range(config.total_steps):
         for actor in roster:

@@ -74,6 +74,15 @@ def test_fit_validation():
         forest.score((1.0, 2.0))
 
 
+@pytest.mark.parametrize("psi, t, error", [(1, 50, "psi < 2"), (0, 50, "psi < 2"),
+                                           (64, 0, "t < 1"), (64, -2, "t < 1")])
+def test_degenerate_forests_are_rejected_when_fitted(psi, t, error):
+    # psi = 1 and t = 0 once fitted and then divided by zero in score; psi = 0
+    # raised a math domain error.
+    with pytest.raises(ValueError, match=error):
+        IsoForest.fit([(1.0,), (2.0,), (3.0,)], seed=1, psi=psi, t=t)
+
+
 def test_ml_advice_band_and_cap():
     assert (anomaly.ML_WEIGHT, anomaly.ML_SCORE_FLOOR, anomaly.ML_BAND) == (
         0.5, 0.5, 0.8)

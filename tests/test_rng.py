@@ -1,12 +1,18 @@
 """Generator and substream determinism."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentinel.rng import MASK64, Xoshiro256StarStar, splitmix64, substream
+from sentinel.rng import (LANE_BLOCK, MASK64, Xoshiro256StarStar, splitmix64,
+                          substream, substreams)
 
 
 def test_splitmix64_reference_values():
@@ -203,3 +209,84 @@ def test_choices_from_an_empty_sequence():
     assert str(from_choices.value) == str(from_choice.value)
     assert rng.choices([], 0) == [] and rng.choices("abc", 0) == []
     assert rng._s == state
+
+
+def test_poisson_rejects_a_rate_that_is_not_finite_and_at_least_0():
+    # A NaN rate once never left the product-of-uniforms loop; the check runs
+    # in a child so that a hang fails this test rather than stalling the suite.
+    script = """
+from sentinel.rng import substream, substreams
+for rng in (substream(1, "p"), substreams(1, "p", ["a"])["a"]):
+    for lam in (float("nan"), float("inf"), -1.0):
+        try:
+            rng.poisson(lam)
+        except ValueError as e:
+            print(e)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == 2 * [
+        "rate must be finite and >= 0, got nan",
+        "rate must be finite and >= 0, got inf",
+        "rate must be finite and >= 0, got -1.0"]
+
+
+# -- lanes: substreams stepped side by side ----------------------------------
+
+BAD_SPANS = (0, -3, 2 ** 64 + 1)
+LANE_DRAWS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "random", "gauss"]), st.just(())),
+    st.tuples(st.just("poisson"), st.tuples(st.floats(0, 8))),
+    st.tuples(st.just("randint"), st.tuples(st.integers(-5, 5), st.integers(5, 60))),
+    st.tuples(st.just("choice"), st.tuples(st.text(min_size=1, max_size=9))),
+    st.tuples(st.just("choices"), st.tuples(st.text(min_size=1, max_size=9),
+                                            st.integers(0, 40))),
+    st.tuples(st.just("shuffle"), st.tuples(st.lists(st.integers(), max_size=30))),
+    st.tuples(st.just("_below"), st.tuples(st.lists(
+        st.one_of(SPANS, st.sampled_from(BAD_SPANS)), max_size=20))),
+    # several blocks of words in one run of draws
+    st.tuples(st.just("_below"), st.builds(
+        lambda blocks: ([2 ** 64] * (blocks * LANE_BLOCK + 1),), st.integers(1, 6))),
+)
+
+
+def _draw(rng, method, args):
+    """One draw, as a value to compare: a shuffled copy, or a ValueError's text."""
+    try:
+        if method == "shuffle":
+            items = list(args[0])
+            rng.shuffle(items)
+            return items
+        return getattr(rng, method)(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+@given(SEEDS, st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 3), LANE_DRAWS), max_size=30))
+@example(1, 1, [(0, ("choices", ("abc", 9))), (0, ("gauss", ()))])   # one lane
+@example(2, 3, [(0, ("_below", ([2 ** 64] * (5 * LANE_BLOCK + 5),)))])
+@example(3, 2, [(1, ("_below", (list(REJECTING) * 8,))), (0, ("random", ()))])
+@example(4, 2, [(0, ("_below", ([7, 9, 0, 3],))), (0, ("next_u64", ())),
+                (1, ("_below", ([2 ** 64 + 1],))), (1, ("poisson", (0.5,)))])
+@settings(max_examples=200, deadline=None)
+def test_lanes_draw_what_scalar_substreams_draw(seed, n, script):
+    names = [f"lane{k}" for k in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning fails it
+        lanes = substreams(seed, "lanes", names)
+        scalar = {name: substream(seed, "lanes", name) for name in names}
+        for k, (method, args) in script:
+            name = names[k % n]
+            assert (_draw(lanes[name], method, args)
+                    == _draw(scalar[name], method, args))
+            # a lane's unread words stay bounded however unevenly lanes draw
+            assert all(len(lane._unread) < 4 * LANE_BLOCK for lane in lanes.values())
+        # every lane, drawn from or not, has consumed the same words
+        for name in names:
+            assert ([lanes[name].next_u64() for _ in range(4 * LANE_BLOCK + 3)]
+                    == [scalar[name].next_u64() for _ in range(4 * LANE_BLOCK + 3)])

@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from sentinel import simkit
 from sentinel.events import ActionKind, Role, Scenario
+from sentinel.rng import substream
 from sentinel.simkit import (COMPLIANCE_POWER_USERS, LEAK_RECIPIENT,
                              MAX_ACTOR_STEPS, ONSET_MAX, ONSET_MIN, SimConfig,
                              expand_scenario, generate_roster,
@@ -47,6 +49,17 @@ def test_simulation_deterministic_per_seed():
     c = run_simulation(config, seed=102)
     assert a.events == b.events and a.truths == b.truths
     assert a.events != c.events
+
+
+@pytest.mark.parametrize("config, seed", [
+    (SimConfig(), 101), (SimConfig(), 112),
+    (SimConfig(total_steps=130, warmup_steps=30, mistake_prob=0.2,
+               power_report_every=5), 7)])
+def test_lane_actor_streams_match_scalar_substreams(monkeypatch, config, seed):
+    lanes = run_simulation(config, seed)
+    monkeypatch.setattr(simkit, "substreams", lambda seed, tag, names: {
+        name: substream(seed, tag, name) for name in names})
+    assert run_simulation(config, seed) == lanes
 
 
 def test_events_ordered_and_bounded():
