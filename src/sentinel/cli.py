@@ -226,6 +226,12 @@ def cmd_experiment(args, cfg: dict) -> int:
         if v not in siem.VARIANT_NAMES:
             print(f"error: unknown variant {v!r}", file=sys.stderr)
             return 1
+    for kind, items in (("variant", variants), ("seed", seeds)):
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            print(f"error: {kind} {repeated[0]!r} is listed twice",
+                  file=sys.stderr)
+            return 1
     matrix, sweep = evalkit.run_experiment(
         variants=variants, seeds=seeds, sim_config=sim_config,
         sweep=args.sweep)

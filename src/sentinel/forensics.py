@@ -7,16 +7,19 @@ or from the trained classifier in the pretrained-model variant. Training
 runs on a labeled spam/ham corpus; a synthetic corpus generator is included
 so the whole pipeline works without any external data. The saved model also
 carries a corpus-level writing-style baseline estimated from the ham portion.
+Every text is tokenised once, by ``_scan``: keyword hits, count rows and
+training's word filter, vocabulary and style baseline all read its result.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,47 +57,16 @@ SENSITIVE_KEYWORDS = _load_keywords("keywords_sensitive.txt")
 
 
 # ---------------------------------------------------------------------------
-# Tokenization and style statistics
+# Tokenization: one scan per text
 
-_SENTENCE_SPLIT = re.compile(r"[.!?]+")
 _TOKEN = re.compile(r"[a-z0-9']+")
-
-
-def tokenize(text: str) -> list[list[str]]:
-    """Rule-based sentence/token splitting, lowercased.
-
-    Sentences split on ``.!?`` runs; tokens are maximal runs of
-    lowercase alphanumerics (plus apostrophe). Empty text gives ``[]``.
-    """
-    sentences = []
-    for raw in _SENTENCE_SPLIT.split(text.lower()):
-        tokens = _TOKEN.findall(raw)
-        if tokens:
-            sentences.append(tokens)
-    return sentences
-
-
-def sentence_lengths(sentences: list[list[str]]) -> list[int]:
-    return [len(s) for s in sentences]
-
-
-def lexical_richness(sentences: list[list[str]]) -> float:
-    """Type-token ratio over the whole text; 0.0 for empty text."""
-    tokens = [t for s in sentences for t in s]
-    if not tokens:
-        return 0.0
-    return len(set(tokens)) / len(tokens)
-
-
-def _flat_tokens(text: str) -> list[str]:
-    """tokenize()'s tokens in order, without the sentences: no token holds
-    a sentence break, so one scan of the lowercased text finds them all."""
-    return _TOKEN.findall(text.lower())
+# Sentences start at a token character and end before the next ``.!?``.
+_SENTENCE = re.compile(r"[a-z0-9'][^.!?]*")
 
 
 def _scan(text: str) -> tuple[Counter, str]:
-    """Token counts and whitespace-normalized lowercase text, from one
-    tokenisation: all that keyword matching reads."""
+    """Token counts and whitespace-normalized lowercase text: the one
+    tokenisation of a text, and all that the rest of this module reads."""
     lower = text.lower()
     return Counter(_TOKEN.findall(lower)), " ".join(lower.split())
 
@@ -105,6 +77,11 @@ def _hits(scan: tuple[Counter, str], keywords: Sequence[str]) -> int:
     tokens, low = scan
     return sum([low.count(kw) if " " in kw else tokens.get(kw, 0)
                 for kw in keywords])
+
+
+def _row(scan: tuple[Counter, str]) -> tuple[Counter, int, int]:
+    """A ``count_matrix`` row: token counts, sensitive hits, urgency hits."""
+    return scan[0], _hits(scan, SENSITIVE_KEYWORDS), _hits(scan, URGENT_KEYWORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +105,7 @@ class StyleBaseline:
 # ---------------------------------------------------------------------------
 # Vocabulary and features
 
-def build_vocabulary(token_docs: Sequence[list[str]], cap: int) -> dict[str, int]:
+def build_vocabulary(token_docs: Sequence[Iterable[str]], cap: int) -> dict[str, int]:
     """Top-``cap`` terms by document frequency (ties broken alphabetically)."""
     df: dict[str, int] = {}
     for tokens in token_docs:
@@ -138,18 +115,17 @@ def build_vocabulary(token_docs: Sequence[list[str]], cap: int) -> dict[str, int
     return {term: i for i, term in enumerate(sorted(t for t, _ in ranked))}
 
 
-def count_matrix(texts: Sequence[str], vocab: dict[str, int]) -> np.ndarray:
+def count_matrix(rows: Sequence[tuple[Counter, int, int]],
+                 vocab: dict[str, int]) -> np.ndarray:
     """Raw term counts over the vocabulary plus two appended keyword features
-    (sensitive-hit count, urgency-hit count)."""
-    X = np.zeros((len(texts), len(vocab) + 2))
-    for i, text in enumerate(texts):
-        scan = _scan(text)
-        for t, n in scan[0].items():
+    (sensitive-hit count, urgency-hit count), one matrix row per ``_row``."""
+    X = np.zeros((len(rows), len(vocab) + 2))
+    for i, (tokens, sensitive, urgent) in enumerate(rows):
+        for t, n in tokens.items():
             j = vocab.get(t)
             if j is not None:
                 X[i, j] += n
-        X[i, len(vocab)] = _hits(scan, SENSITIVE_KEYWORDS)
-        X[i, len(vocab) + 1] = _hits(scan, URGENT_KEYWORDS)
+        X[i, -2:] = sensitive, urgent
     return X
 
 
@@ -267,7 +243,7 @@ class PretrainedModel:
         }
 
     def phishing_prob(self, body: str) -> float:
-        counts = count_matrix([body], self.vocabulary)
+        counts = count_matrix([_row(_scan(body))], self.vocabulary)
         if self.selected_family == "multinomial":
             p = self._clfs["multinomial"].predict_proba(counts)[0]
         else:
@@ -300,22 +276,38 @@ def train_classifier(
     """
     if not corpus:
         raise TrainingError("empty corpus")
-    kept = [(t, l) for t, l in corpus if len(_flat_tokens(t)) > MIN_WORDS]
+    kept = []   # (count row, sentence count, label) per document kept
+    for text, label in corpus:
+        tokens, low = _scan(text)
+        if tokens.total() > MIN_WORDS:   # interned: the held rows share terms
+            tokens = Counter({sys.intern(t): n for t, n in tokens.items()})
+            kept.append((_row((tokens, low)), len(_SENTENCE.findall(low)), label))
     if not kept:
         raise TrainingError(f"no messages above the {MIN_WORDS}-word minimum")
-    labels = [1 if l == "spam" else 0 for _, l in kept]
+    labels = [1 if l == "spam" else 0 for _, _, l in kept]
     if len(set(labels)) < 2:
         raise TrainingError("corpus must contain both spam and ham")
 
-    texts = [t for t, _ in kept]
     y = np.array(labels)
     train_idx, test_idx = _stratified_split(labels, HOLDOUT_FRACTION, seed)
     if len({labels[i] for i in train_idx}) < 2:
         raise TrainingError("each class needs a training document after the "
                             "hold-out split takes one or more of each")
 
-    vocab = build_vocabulary([_flat_tokens(texts[i]) for i in train_idx], VOCAB_CAP)
-    counts = count_matrix(texts, vocab)
+    vocab = build_vocabulary([kept[i][0][0] for i in train_idx], VOCAB_CAP)
+    counts = count_matrix([row for row, _, _ in kept], vocab)
+    # Per ham document: tokens per sentence and distinct tokens per token.
+    ham = [kept[i] for i in train_idx if labels[i] == 0]
+    per_doc_len = [c.total() / n for (c, _, _), n, _ in ham]
+    per_doc_rich = [len(c) / c.total() for (c, _, _), _, _ in ham]
+    del kept, ham   # the fits below read only the count matrix
+    baseline = StyleBaseline(
+        mean_sentence_length=float(np.mean(per_doc_len)),
+        lexical_richness=float(np.mean(per_doc_rich)),
+        sentence_length_sd=max(1.0, float(np.std(per_doc_len))),
+        richness_sd=max(0.02, float(np.std(per_doc_rich))),
+    )
+
     idf = fit_idf(counts[train_idx])
     tfidf = tfidf_matrix(counts, idf)
 
@@ -327,16 +319,6 @@ def train_classifier(
         "linear": float(np.mean((lin.predict_proba(tfidf[test_idx]) >= 0.5) == y[test_idx])),
     }
     selected = max(FAMILIES, key=lambda f: acc[f])
-
-    ham_sentences = [tokenize(texts[i]) for i in train_idx if y[i] == 0]
-    per_doc_len = [np.mean(sentence_lengths(s)) for s in ham_sentences if s]
-    per_doc_rich = [lexical_richness(s) for s in ham_sentences if s]
-    baseline = StyleBaseline(
-        mean_sentence_length=float(np.mean(per_doc_len)),
-        lexical_richness=float(np.mean(per_doc_rich)),
-        sentence_length_sd=max(1.0, float(np.std(per_doc_len))),
-        richness_sd=max(0.02, float(np.std(per_doc_rich))),
-    )
     return PretrainedModel(
         vocabulary=vocab,
         idf=idf,
@@ -417,8 +399,7 @@ def load_model(payload: bytes) -> PretrainedModel:
 
 def keyword_phishing_score(body: str) -> float:
     """Keyword-only phishing heuristic used when no pretrained model is loaded."""
-    scan = _scan(body)
-    s, u = _hits(scan, SENSITIVE_KEYWORDS), _hits(scan, URGENT_KEYWORDS)
+    _, s, u = _row(_scan(body))
     return min(1.0, 0.18 * s + 0.22 * u)
 
 

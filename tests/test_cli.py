@@ -254,6 +254,27 @@ def test_experiment_rejects_unknown_variant(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("seeds, variants, runs", [
+    ([7, 8], "lsc,lsc", None), ([7, 7], "lsc", None), ([7, 7, 8], "lsc", "2"),
+], ids=["repeated_variant", "repeated_seed", "repeated_seed_within_runs"])
+def test_experiment_rejects_a_repeated_variant_or_seed(
+        tmp_path, capsys, monkeypatch, seeds, variants, runs):
+    def simulate(*args):
+        raise AssertionError("a seed was simulated")
+
+    monkeypatch.setattr(simkit, "run_simulation", simulate)
+    config = tmp_path / "seeds.json"
+    config.write_text(json.dumps({"seeds": seeds, "total_steps": 110}))
+    argv = ["--config", str(config), "experiment", "--variants", variants,
+            "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv + (["--runs", runs] if runs else [])) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "listed twice" in err[0]
+    assert not (tmp_path / "x" / "experiment.csv").exists()
+
+
 @pytest.mark.parametrize("seeds, runs", [
     ([7, 8], "-1"), ([7, 8], "0"), ([], None),
 ], ids=["negative_runs", "zero_runs", "empty_seeds"])

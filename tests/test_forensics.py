@@ -1,7 +1,9 @@
 """Email forensics: tokenization, keyword scoring, classifiers, model serde."""
 
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import oracle_layers
@@ -10,31 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine_differential import BODIES
 
-from sentinel.forensics import (SENSITIVE_KEYWORDS, URGENT_KEYWORDS,
-                                ModelFormatError, MultinomialClassifier,
-                                TrainingError, build_vocabulary,
-                                _hits, _scan, count_matrix,
+from sentinel import forensics
+from sentinel.forensics import (HOLDOUT_FRACTION, MIN_WORDS,
+                                SENSITIVE_KEYWORDS, URGENT_KEYWORDS,
+                                VOCAB_CAP, ModelFormatError,
+                                MultinomialClassifier, TrainingError,
+                                _hits, _row, _scan, _stratified_split,
+                                build_vocabulary, count_matrix,
                                 generate_leak_body,
                                 generate_synthetic_corpus,
-                                keyword_phishing_score, lexical_richness,
-                                load_model, save_model, tokenize,
-                                train_classifier)
+                                keyword_phishing_score,
+                                load_model, save_model, train_classifier)
 from sentinel.rng import substream
 
 
 # -- tokenization and keyword hits ------------------------------------------
-
-def test_tokenize_sentences_and_case():
-    assert tokenize("Hello World. Second SENTENCE!") == [
-        ["hello", "world"], ["second", "sentence"]]
-    assert tokenize("") == []
-    assert tokenize("...!?") == []
-
-
-def test_lexical_richness_oracle():
-    assert lexical_richness(tokenize("a b a b")) == pytest.approx(0.5)
-    assert lexical_richness([]) == 0.0
-
 
 def test_count_keyword_hits_words_and_phrases():
     text = "Reset your password now. The passwords stay safe. wire  transfer due."
@@ -75,7 +67,8 @@ def test_count_matrix_matches_frozen_counts():
     texts = list(BODIES) + [text for text, _ in generate_synthetic_corpus(
         5, 10, 10)] + [generate_leak_body(rng, dense) for dense in (0, 1)]
     vocab, expected = _frozen_counts(texts)
-    assert np.array_equal(count_matrix(texts, vocab), expected)
+    assert np.array_equal(
+        count_matrix([_row(_scan(t)) for t in texts], vocab), expected)
 
 
 _KEYWORD_WORDS = SENSITIVE_KEYWORDS + URGENT_KEYWORDS + ("budget", "it's")
@@ -93,7 +86,7 @@ def test_count_matrix_matches_frozen_counts_on_keyword_edges(parts):
     # keywords glued to their neighbours, and punctuation at token edges.
     text = "".join(word + sep for word, sep in parts)
     vocab, expected = _frozen_counts([text])
-    assert np.array_equal(count_matrix([text], vocab), expected)
+    assert np.array_equal(count_matrix([_row(_scan(text))], vocab), expected)
 
 
 def test_build_vocabulary_ranking_and_cap():
@@ -145,6 +138,111 @@ def test_train_classifier_validation():
     long_ham = ("word " * 40, "ham")
     with pytest.raises(TrainingError, match="both spam and ham"):
         train_classifier([long_ham, long_ham])
+
+
+class _CountingPattern:
+    """Stands in for ``forensics._TOKEN`` and counts its ``findall`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.findall_calls = pattern, 0
+
+    def findall(self, text):
+        self.findall_calls += 1
+        return self.pattern.findall(text)
+
+
+def test_training_tokenises_each_document_once(monkeypatch):
+    corpus = generate_synthetic_corpus(4242, 1700, 300)
+    token = _CountingPattern(forensics._TOKEN)
+    monkeypatch.setattr(forensics, "_TOKEN", token)
+    train_classifier(corpus)
+    assert token.findall_calls == len(corpus) == 2000
+
+
+# Words of exactly one token each (apostrophes, digits, mixed case, single
+# keywords and the halves of "wire transfer" and "click here"), and the gaps
+# between them: whitespace, punctuation, and runs of sentence ends that leave
+# empty sentences.
+_ONE_TOKEN_WORDS = ("budget", "Review", "It's", "o'clock", "'", "Q3", "2024",
+                    "URGENT", "password", "Confidential", "secret", "wire",
+                    "transfer", "click", "here")
+_GAPS = (" ", "  ", "\n", "\t ", ", ", " - ", ".", ". ", "... ", "?! ", "!",
+         " . . ", "!?. ")
+
+
+@st.composite
+def _document(draw, lengths):
+    n = draw(lengths)
+    words = draw(st.lists(st.sampled_from(_ONE_TOKEN_WORDS),
+                          min_size=n, max_size=n))
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=n + 1,
+                         max_size=n + 1))
+    return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+
+
+_KEPT = st.integers(MIN_WORDS + 1, MIN_WORDS + 12)
+_ANY_LENGTH = st.sampled_from([MIN_WORDS, MIN_WORDS + 1]) | st.integers(
+    1, MIN_WORDS + 12)
+
+
+@st.composite
+def _training_corpus(draw):
+    """Two documents of each class that pass the word minimum, then up to
+    four of any length, shuffled."""
+    docs = []
+    for label in ("ham", "spam"):
+        texts = draw(st.lists(_document(_KEPT), min_size=2, max_size=2)) + \
+            draw(st.lists(_document(_ANY_LENGTH), max_size=4))
+        docs += [(text, label) for text in texts]
+    return draw(st.permutations(docs))
+
+
+def _frozen_training_reference(corpus, seed):
+    """The vocabulary, count rows and style baseline floats of training,
+    rebuilt from the frozen sentence tokenizer."""
+    sentences = [oracle_layers.tokenize(text) for text, _ in corpus]
+    kept = [i for i, s in enumerate(sentences) if sum(map(len, s)) > MIN_WORDS]
+    labels = [int(corpus[i][1] == "spam") for i in kept]
+    train_idx, _ = _stratified_split(labels, HOLDOUT_FRACTION, seed)
+    docs = [[t for s in sentences[i] for t in s] for i in kept]
+    terms = sorted({t for j in train_idx for t in docs[j]})
+    assert len(terms) <= VOCAB_CAP   # so no term is ranked out
+    vocab = {t: i for i, t in enumerate(terms)}
+    rows = np.zeros((len(kept), len(vocab) + 2))
+    for row, i, doc in zip(rows, kept, docs):
+        for t in doc:
+            if t in vocab:
+                row[vocab[t]] += 1.0
+        row[-2] = oracle_layers.count_keyword_hits(
+            corpus[i][0], oracle_layers.SENSITIVE_KEYWORDS)
+        row[-1] = oracle_layers.count_keyword_hits(
+            corpus[i][0], oracle_layers.URGENT_KEYWORDS)
+    ham = [sentences[kept[j]] for j in train_idx if labels[j] == 0]
+    per_doc_len = [np.mean([len(s) for s in doc]) for doc in ham]
+    per_doc_rich = [len({t for s in doc for t in s}) / sum(map(len, doc))
+                    for doc in ham]
+    baseline = (float(np.mean(per_doc_len)), float(np.mean(per_doc_rich)),
+                max(1.0, float(np.std(per_doc_len))),
+                max(0.02, float(np.std(per_doc_rich))))
+    return vocab, rows, baseline
+
+
+@given(corpus=_training_corpus())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_training_matches_the_frozen_tokenizer(corpus):
+    vocab, rows, baseline = _frozen_training_reference(corpus, seed=7)
+    built = []
+
+    def spy(*args):
+        built.append(count_matrix(*args))
+        return built[-1]
+
+    with mock.patch.object(forensics, "count_matrix", spy):
+        model = train_classifier(corpus, seed=7)
+    assert model.vocabulary == vocab
+    assert len(built) == 1 and np.array_equal(built[0], rows)
+    assert [x.hex() for x in dataclasses.astuple(model.baseline)] == \
+        [x.hex() for x in baseline]
 
 
 def test_train_and_round_trip_model():
